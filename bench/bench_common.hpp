@@ -35,7 +35,7 @@ struct Settings {
   /// the wall cost 3 serial trials used to pay. docs/REPRODUCING.md's
   /// measured runtimes assume this default.
   std::size_t trials = 8;
-  std::size_t jobs = 0;  // trial-level parallelism; 0 = all hardware cores
+  std::size_t jobs = 0;  // parallel width; 0 = all hardware cores
   std::uint64_t seed = 1;
   /// JSON telemetry destination: "" disables, "auto" writes
   /// BENCH_<name>.json in the working directory, anything else is a path.
@@ -64,8 +64,8 @@ inline void add_common_flags(Flags& flags) {
   flags.add_int("trials", static_cast<std::int64_t>(defaults.trials),
                 "independent trials averaged per data point");
   flags.add_int("jobs", static_cast<std::int64_t>(defaults.jobs),
-                "worker threads for trials (0 = all hardware cores); "
-                "results are identical for any value");
+                "parallel width (0 = all hardware cores); results are "
+                "identical for any value");
   flags.add_int("seed", static_cast<std::int64_t>(defaults.seed),
                 "base RNG seed");
   flags.add_string("json", defaults.json,
@@ -153,21 +153,11 @@ inline core::ScenarioConfig resolve_scenario(
 }
 
 /// Fills the non-scenario half of a TrialSpec from the shared settings.
-/// With a single trial the trial-level pool would sit idle, so --jobs is
-/// handed down to the batched simulator's block fan-out, the pair-candidate
-/// evaluation, the solver's Gram build, and the bootstrap's replicate
-/// fan-out instead — all of which merge deterministically, so stdout stays
-/// byte-identical for any value.
 inline void apply_trial_settings(core::TrialSpec& spec, const Settings& s) {
   spec.sim.snapshots = s.snapshots;
   spec.sim.packets_per_path = s.packets;
   spec.sim.mode = sim::parse_packet_mode(s.sim_mode);
-  if (s.trials == 1) {
-    spec.sim.jobs = s.jobs;
-    spec.inference.equations.jobs = s.jobs;
-    spec.inference.solver.jobs = s.jobs;
-    spec.bootstrap.jobs = s.jobs;
-  }
+  spec.bootstrap.jobs = s.jobs;
 }
 
 /// The resolved spec for a binary's workload: scenario from --scenario (or
@@ -210,9 +200,10 @@ inline void emit(const Table& table, const Settings& s) {
 /// every emitted table, and scalar summary metrics — then serializes it
 /// to BENCH_<name>.json when --json is set.
 ///
-/// The stdout tables stay byte-identical across --jobs values (callers
-/// reduce trial outcomes in index order); wall times live only in the
-/// JSON, which is telemetry, not metric output.
+/// Owns --jobs: a util::ScopedWidth for the run's lifetime. The stdout
+/// tables stay byte-identical across --jobs values (callers reduce trial
+/// outcomes in index order); wall times live only in the JSON, which is
+/// telemetry, not metric output.
 class Run {
  public:
   Run(std::string name, Settings settings)
@@ -231,22 +222,19 @@ class Run {
 
   const Settings& settings() const { return settings_; }
 
-  /// Fans `--trials` independent executions of `body` across `--jobs`
-  /// workers; returns outcomes in trial order and records their wall
+  /// Fans `--trials` independent executions of `body` across the run's
+  /// width; returns outcomes in trial order and records their wall
   /// times. May be called once per data point (series benches) or once
   /// per binary.
   template <typename Body>
   auto trials(Body&& body) {
-    auto outcomes = core::run_trials(settings_.trials, settings_.jobs,
-                                     settings_.seed, std::forward<Body>(body));
-    for (const auto& outcome : outcomes) {
-      trial_seconds_.push_back(outcome.seconds);
-    }
-    return outcomes;
+    return std::move(sweep(1, [&](std::size_t, const core::TrialContext& ctx) {
+                       return body(ctx);
+                     }).front());
   }
 
   /// Batched sweep for series benches: every (point, trial) pair runs as
-  /// one flattened job across `--jobs` workers instead of one barriered
+  /// one flattened job across the run's width instead of one barriered
   /// trials() call per point — a slow trial of point 0 overlaps with
   /// point 5's work instead of stalling the whole sweep. body(point, ctx)
   /// receives exactly the TrialContext a per-point trials() call would
@@ -256,26 +244,19 @@ class Run {
   /// loop for any --jobs.
   template <typename Body>
   auto sweep(std::size_t points, Body&& body) {
-    using R = decltype(body(std::size_t{0},
-                            std::declval<const core::TrialContext&>()));
-    std::vector<std::vector<core::Trial<R>>> out(points);
-    for (auto& per_point : out) per_point.resize(settings_.trials);
-    util::parallel_for(
-        settings_.jobs, points * settings_.trials, [&](std::size_t k) {
-          const std::size_t point = k / settings_.trials;
-          const std::size_t trial = k % settings_.trials;
-          const core::TrialContext ctx{trial, settings_.seed};
-          const Stopwatch stopwatch;
-          out[point][trial].value = body(point, ctx);
-          out[point][trial].seconds = stopwatch.seconds();
-          out[point][trial].index = trial;
+    const std::size_t trials = settings_.trials;
+    auto flat = core::run_trials(
+        points * trials, settings_.seed, [&](const core::TrialContext& k) {
+          return body(k.trial / trials,
+                      core::TrialContext{k.trial % trials, settings_.seed});
         });
-    // Wall times recorded point-major, matching what per-point trials()
-    // calls would have written.
-    for (const auto& per_point : out) {
-      for (const auto& outcome : per_point) {
-        trial_seconds_.push_back(outcome.seconds);
-      }
+    // Grouped by point in trial order; wall times recorded point-major,
+    // matching what per-point trials() calls would have written.
+    std::vector<decltype(flat)> out(points);
+    for (std::size_t k = 0; k < flat.size(); ++k) {
+      trial_seconds_.push_back(flat[k].seconds);
+      flat[k].index = k % trials;
+      out[k / trials].push_back(std::move(flat[k]));
     }
     return out;
   }
@@ -376,6 +357,7 @@ class Run {
 
   std::string name_;
   Settings settings_;
+  util::ScopedWidth width_{settings_.jobs};
   Stopwatch total_;
   std::vector<double> trial_seconds_;
   util::Json tables_ = util::Json::array();

@@ -178,8 +178,6 @@ void scenario_bootstrap(bench::Run& run, const bench::Settings& s,
   const auto run_engine = [&](core::BootstrapMode mode, double& seconds) {
     core::BootstrapOptions boot = spec.bootstrap_for(ctx);
     boot.mode = mode;
-    // The replicate fan-out is this mode's whole parallel surface.
-    boot.jobs = mode == core::BootstrapMode::kBatched ? s.jobs : 1;
     const Stopwatch timer;
     core::BootstrapResult r =
         core::bootstrap_congestion(inst.graph, inst.paths, cov,
@@ -198,7 +196,6 @@ void scenario_bootstrap(bench::Run& run, const bench::Settings& s,
     // start. Stdout is untouched.
     core::BootstrapOptions boot = spec.bootstrap_for(ctx);
     boot.mode = core::BootstrapMode::kBatched;
-    boot.jobs = s.jobs;
     boot.replicates = std::max<std::size_t>(2, std::min<std::size_t>(
                                                    replicates, 16));
     core::bootstrap_congestion(inst.graph, inst.paths, cov,
@@ -335,10 +332,11 @@ int main(int argc, char** argv) {
     // resample engine: replicate r always draws from
     // replicate_rng(ctx.seed(0x1b00), r), so the sweep is identical for
     // any fan-out — and with a single trial the replicates themselves
-    // spread across --jobs. Replicates that leave a needed pattern
-    // unobserved are dropped *and counted* (JSON telemetry below).
+    // spread across --jobs (inside fanned-out trials they run inline).
+    // Replicates that leave a needed pattern unobserved are dropped *and
+    // counted* (JSON telemetry below).
     const auto replicate_alphas = core::resample_sweep(
-        block, replicates, ctx.seed(0x1b00), s.trials == 1 ? s.jobs : 1,
+        block, replicates, ctx.seed(0x1b00),
         [&](const sim::EmpiricalMeasurement& meas) {
           return extract_alphas(
               core::run_theorem_algorithm(cov, toy.sets, meas));

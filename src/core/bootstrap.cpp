@@ -1,7 +1,7 @@
 #include "core/bootstrap.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "sim/estimator.hpp"
@@ -73,6 +73,7 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   TOMO_REQUIRE(options.confidence > 0.0 && options.confidence < 1.0,
                "confidence must be in (0,1)");
   TOMO_REQUIRE(!block.empty(), "bootstrap needs a non-empty measurement");
+  const util::ScopedWidth width(options.jobs);
 
   const std::size_t links = g.link_count();
   const std::size_t n = block.snapshot_count;
@@ -101,8 +102,7 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
     // accumulate_gram over the whole view is bitwise equal to the batch
     // build inside solve_log_system, so this point estimate matches the
     // reference engine's exactly.
-    linalg::accumulate_gram(skeleton, point_view,
-                            options.inference.solver.jobs);
+    linalg::accumulate_gram(skeleton, point_view);
     point_solution = linalg::solve_log_system(point_view, skeleton,
                                               options.inference.solver);
   } else {
@@ -161,9 +161,6 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
         incremental && eq.include_redundant && eq.min_good_snapshots <= 1;
 
     InferenceOptions replicate_inference = options.inference;
-    // Parallelism lives at the replicate level; inner jobs stay inline.
-    replicate_inference.solver.jobs = 1;
-    replicate_inference.equations.jobs = 1;
     // Fast-path solves share the skeleton's Gram matrix, so the warm
     // seed's Cholesky factor is measurement-independent: factor it once
     // here and let every replicate copy it (fast_solver). The fallback
@@ -233,7 +230,7 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
             // so the Gram matrix itself changes; rebuild it — the harvest
             // skip still amortizes the expensive part.
             linalg::GramSystem gs;
-            linalg::accumulate_gram(gs, view, 1);
+            linalg::accumulate_gram(gs, view);
             solution = linalg::solve_log_system(view, gs,
                                                 replicate_inference.solver);
           }
@@ -255,40 +252,25 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
       }
     };
 
-    const auto run_stripe = [&](std::size_t first, std::size_t stride,
-                                double& resample_seconds) {
-      // One skeleton copy per worker: refresh_gram_rhs rewrites only the
-      // rhs products in place, so G is shared by the whole stripe. The
-      // resample scratch and pick buffer are likewise hoisted here — the
-      // source transpose is built once per worker and every replicate in
-      // the stripe reuses the same gather buffer, allocation-free after
-      // the first replicate.
+    // One stripe of replicates per thread of the fan-out (a replicate's own
+    // calls run inline), each with one skeleton copy: refresh_gram_rhs
+    // rewrites only the rhs products in place, so G is shared by the whole
+    // stripe. The resample scratch and pick buffer are likewise hoisted —
+    // the source transpose is built once per stripe and every replicate in
+    // it reuses the same gather buffer.
+    const std::size_t stripes =
+        std::min(util::parallel_width(), options.replicates);
+    std::vector<double> stripe_resample_seconds(stripes);
+    util::parallel_for(stripes, [&](std::size_t w) {
       linalg::GramSystem scratch = skeleton;
       std::vector<double> ys(harvest.system.equations.size());
       sim::ResampleScratch resample_scratch;
       std::vector<std::uint32_t> picks;
-      for (std::size_t r = first; r < options.replicates; r += stride) {
+      for (std::size_t r = w; r < options.replicates; r += stripes) {
         run_replicate(r, scratch, ys, resample_scratch, picks,
-                      resample_seconds);
+                      stripe_resample_seconds[w]);
       }
-    };
-
-    const std::size_t workers =
-        std::min(util::resolve_jobs(options.jobs), options.replicates);
-    std::vector<double> stripe_resample_seconds(std::max<std::size_t>(
-        workers, 1));
-    if (workers <= 1) {
-      run_stripe(0, 1, stripe_resample_seconds[0]);
-    } else {
-      util::ThreadPool pool(workers);
-      std::vector<std::future<void>> done;
-      done.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        done.push_back(pool.submit(
-            [&, w] { run_stripe(w, workers, stripe_resample_seconds[w]); }));
-      }
-      for (auto& f : done) f.get();
-    }
+    });
     for (const double s : stripe_resample_seconds) {
       result.resample_seconds += s;
     }

@@ -18,8 +18,8 @@
 //    right-hand sides and solves on the shared Gram skeleton
 //    (linalg::solve_log_system_reuse + NNLS warm start), falling back to
 //    a full re-harvest only when support actually changes. Replicates fan
-//    across the thread pool on per-replicate seed streams, so intervals
-//    are bit-identical for any `jobs`.
+//    across the executor on per-replicate seed streams, so intervals are
+//    bit-identical for any `jobs`.
 //  - kReference is the historical serial path — per-bit resample, full
 //    re-inference per replicate — kept as the differential baseline. At
 //    matched seeds the batched engine with warm_start off is bitwise
@@ -58,9 +58,9 @@ struct BootstrapOptions {
   double confidence = 0.90;  // central interval mass
   std::uint64_t seed = 1;
   BootstrapMode mode = BootstrapMode::kBatched;
-  /// Replicate fan-out width for the batched engine (1 = inline on the
-  /// caller, 0 = all hardware cores). Intervals are bit-identical for any
-  /// value; the reference engine is deliberately serial.
+  /// Width of the call (a util::ScopedWidth; 0 = all hardware cores): the
+  /// batched engine's replicates fan out at it, the reference engine runs
+  /// them serially. Intervals are bit-identical for any value.
   std::size_t jobs = 1;
   /// Warm-start every replicate's NNLS from the point estimate's active
   /// set (batched engine, incremental NNLS only). Off, the batched engine
@@ -133,21 +133,20 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
 /// Generic batched resample sweep for callers that bootstrap something
 /// other than the correlation algorithm (fig1_tables' theorem-algorithm
 /// alphas, ablation statistics): fans `replicates` word-level resamples of
-/// `block` across up to `jobs` workers and applies `body` to each
-/// replicate's measurement. Outcome r is std::nullopt when the body threw
-/// tomo::Error (that replicate lost the data it needed) — callers count
-/// those as skipped. Replicate r always draws from replicate_rng(seed, r),
-/// so results are identical for any `jobs`.
+/// `block` across the executor at the caller's parallel width and applies
+/// `body` to each replicate's measurement. Outcome r is std::nullopt when
+/// the body threw tomo::Error (that replicate lost the data it needed) —
+/// callers count those as skipped. Replicate r always draws from
+/// replicate_rng(seed, r), so results are identical for any width.
 template <typename Body>
 auto resample_sweep(const sim::MeasurementBlock& block,
-                    std::size_t replicates, std::uint64_t seed,
-                    std::size_t jobs, Body&& body)
+                    std::size_t replicates, std::uint64_t seed, Body&& body)
     -> std::vector<std::optional<std::decay_t<
         std::invoke_result_t<Body&, const sim::EmpiricalMeasurement&>>>> {
   using R = std::decay_t<
       std::invoke_result_t<Body&, const sim::EmpiricalMeasurement&>>;
   std::vector<std::optional<R>> out(replicates);
-  util::parallel_for(jobs, replicates, [&](std::size_t r) {
+  util::parallel_for(replicates, [&](std::size_t r) {
     Rng rng = replicate_rng(seed, r);
     const std::vector<std::uint32_t> picks =
         draw_picks(block.snapshot_count, rng);

@@ -13,7 +13,7 @@ namespace tomo::core {
 
 struct InferenceOptions {
   /// End-to-end solver configuration — kind, NNLS engine (incremental
-  /// Gram/Cholesky vs reference QR), Gram-build jobs, tolerances —
+  /// Gram/Cholesky vs reference QR), warm start, tolerances —
   /// threaded down to linalg::solve_log_system. The solve runs on the
   /// equation system's sparse view: the dense incidence matrix is never
   /// materialized on this path.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "linalg/rank_tracker.hpp"
@@ -247,40 +246,20 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       }
     };
 
-    // Candidates are evaluated in fixed batches (parallel when jobs > 1)
-    // and merged strictly in candidate order, replaying the sequential
-    // loop's budget/rank/cap control flow — so counters, accepted
-    // equations, and their order are byte-identical for any jobs value.
-    // Work past the merge's break point is at most one batch of waste.
+    // Candidates are evaluated in fixed batches (across the executor) and
+    // merged strictly in candidate order, replaying the sequential loop's
+    // budget/rank/cap control flow — so counters, accepted equations, and
+    // their order are byte-identical for any width. Work past the merge's
+    // break point is at most one batch of waste.
     constexpr std::size_t kBatch = 128;
-    const std::size_t jobs =
-        candidates.size() > kBatch ? util::resolve_jobs(options.jobs) : 1;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (jobs > 1) pool = std::make_unique<util::ThreadPool>(jobs);
-
     std::vector<CandidateEval> evals(std::min(kBatch, candidates.size()));
     bool stop = false;
     for (std::size_t start = 0; start < candidates.size() && !stop;
          start += kBatch) {
       const std::size_t end = std::min(start + kBatch, candidates.size());
       const std::size_t batch = end - start;
-      if (pool) {
-        const std::size_t chunk = (batch + jobs - 1) / jobs;
-        std::vector<std::future<void>> done;
-        for (std::size_t cs = 0; cs < batch; cs += chunk) {
-          const std::size_t ce = std::min(cs + chunk, batch);
-          done.push_back(pool->submit([&, cs, ce] {
-            for (std::size_t k = cs; k < ce; ++k) {
-              evaluate(start + k, evals[k]);
-            }
-          }));
-        }
-        for (auto& f : done) f.get();
-      } else {
-        for (std::size_t k = 0; k < batch; ++k) {
-          evaluate(start + k, evals[k]);
-        }
-      }
+      util::parallel_for(
+          batch, [&](std::size_t k) { evaluate(start + k, evals[k]); });
 
       for (std::size_t k = 0; k < batch; ++k) {
         const bool budget_reached =

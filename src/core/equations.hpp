@@ -17,9 +17,9 @@
 // lowest-touch-link ownership (no global seen-set), an exact
 // correlation-set-signature precheck that decides correlation_free(union)
 // without materializing the union, and batched candidate evaluation fanned
-// across a worker pool with a deterministic candidate-order merge — the
+// across the executor with a deterministic candidate-order merge — the
 // accepted system is byte-identical to the historical sequential build for
-// any jobs value, which the differential suite (test_equations_fast)
+// any parallel width, which the differential suite (test_equations_fast)
 // enforces against the reference paths.
 #pragma once
 
@@ -99,12 +99,6 @@ struct EquationBuildOptions {
   /// Cap on accepted pair equations in redundant mode (0 = one per link,
   /// i.e. |E|). Ignored when include_redundant is false.
   std::size_t max_pair_equations = 0;
-  /// Worker threads for the batched pair-candidate evaluation (1 = inline
-  /// on the caller, 0 = all hardware cores). Candidates are precomputed in
-  /// fixed batches and merged in candidate order, so the built system —
-  /// and therefore stdout — is byte-identical for any value. Keep 1 when
-  /// trials already fan out across a pool (nested pools oversubscribe).
-  std::size_t jobs = 1;
   /// When true (default), correlation_free(union) for a pair candidate is
   /// decided from per-path correlation-set signatures (exact for phase-2
   /// candidates, whose paths are individually correlation-free) without

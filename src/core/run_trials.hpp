@@ -2,9 +2,9 @@
 //
 // Every figure binary averages independent Monte-Carlo trials; each trial
 // is an isolated simulate → infer → score pipeline whose only input is a
-// seed. run_trials fans those trials across a worker pool and returns the
+// seed. run_trials fans those trials across the executor and returns the
 // results in trial order, so callers reduce serially and get bit-identical
-// output regardless of the worker count. Determinism rests on per-trial
+// output regardless of the width. Determinism rests on per-trial
 // seed derivation: TrialContext::seed(tag) mixes (base seed, tag + trial)
 // through mix_seed, giving every trial — and every component inside it —
 // its own RNG stream with no shared mutable state.
@@ -42,18 +42,17 @@ struct Trial {
   R value{};
 };
 
-/// Runs body(ctx) for trials 0..trials-1 on up to `jobs` workers
-/// (0 = all hardware cores) and returns the outcomes in trial order.
+/// Runs body(ctx) for trials 0..trials-1 at the calling thread's parallel
+/// width (util::ScopedWidth) and returns the outcomes in trial order.
 /// The body must draw all randomness from ctx.seed(...); under that
-/// contract the returned values are independent of `jobs`. Exceptions
+/// contract the returned values are independent of the width. Exceptions
 /// propagate (lowest trial index wins) after all trials settle.
 template <typename Body>
-auto run_trials(std::size_t trials, std::size_t jobs, std::uint64_t base_seed,
-                Body&& body)
+auto run_trials(std::size_t trials, std::uint64_t base_seed, Body&& body)
     -> std::vector<Trial<decltype(body(std::declval<const TrialContext&>()))>> {
   using R = decltype(body(std::declval<const TrialContext&>()));
   std::vector<Trial<R>> out(trials);
-  util::parallel_for(jobs, trials, [&](std::size_t i) {
+  util::parallel_for(trials, [&](std::size_t i) {
     const TrialContext ctx{i, base_seed};
     const Stopwatch stopwatch;
     out[i].value = body(ctx);

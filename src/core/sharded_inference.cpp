@@ -243,6 +243,7 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
                "infer_sharded: coverage and sets disagree on link count");
   TOMO_REQUIRE(coverage.all_links_covered(),
                "infer_sharded: every link must be covered by a path");
+  const util::ScopedWidth width(options.jobs);
   const std::size_t link_count = coverage.link_count();
 
   ShardedInferenceResult result;
@@ -288,14 +289,15 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
     return result;
   }
 
-  // Per-shard pipeline, fanned across the pool. Every shard derives its
-  // own seeds and writes only its slot, so the merge below — and hence the
-  // whole result — is bit-identical for any jobs value.
+  // Per-shard pipeline, fanned across the executor (a shard's own calls
+  // run inline). Every shard derives its own seeds and writes only its
+  // slot, so the merge below — and hence the whole result — is
+  // bit-identical for any jobs value.
   const bool want_precision =
       options.precision_replicates > 0 && plan.shared_links > 0;
   std::vector<ShardRun> runs(plan.shards.size());
   util::parallel_for(
-      options.jobs, plan.shards.size(), [&](std::size_t s) {
+      plan.shards.size(), [&](std::size_t s) {
         const Shard& shard = plan.shards[s];
         ShardRun& run = runs[s];
         run.telemetry.paths = shard.paths.size();
@@ -370,7 +372,6 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
           BootstrapOptions bo;
           bo.replicates = options.precision_replicates;
           bo.seed = mix_seed(options.seed, kShardSeedTag + s);
-          bo.jobs = 1;  // the shard fan-out already owns the pool
           bo.inference = shard_opts;
           try {
             const BootstrapResult bs =
@@ -524,7 +525,6 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
       linalg::SolverOptions so = options.inference.solver;
       so.warm_start.clear();
       so.nnls_warm_factor = nullptr;
-      so.jobs = 1;  // tiny system; keep it inline and deterministic
       const Stopwatch joint_timer;
       const linalg::LogSystemSolution solution =
           linalg::solve_log_system(view, so);

@@ -19,7 +19,7 @@
 //      ingress/egress lists, so running it on a link-restricted shard
 //      subgraph would flag nodes the monolithic run does not), then runs
 //      the existing harvest→demote→NNLS pipeline per shard on re-indexed
-//      local subsystems, fanned across the thread pool. Each shard derives
+//      local subsystems, fanned across the executor. Each shard derives
 //      its seeds from (seed, shard index), so the result is bit-identical
 //      for any `jobs`.
 //   3. Links covered by several shards are reconciled: agreeing shards
@@ -56,8 +56,8 @@ struct ShardedOptions {
   /// monolithic pipeline. Positive values split oversized components and
   /// accept shared links in exchange for smaller per-shard Gram systems.
   std::size_t max_shard_paths = 0;
-  /// Shard fan-out width (1 = inline on the caller, 0 = all hardware
-  /// cores). The result is bit-identical for any value.
+  /// Width of the call (a util::ScopedWidth; 0 = all hardware cores): the
+  /// shards fan out at it. The result is bit-identical for any value.
   std::size_t jobs = 1;
   /// Base seed for the per-shard sub-streams (bootstrap precision runs).
   std::uint64_t seed = 1;

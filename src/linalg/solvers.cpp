@@ -62,7 +62,7 @@ void describe_nnls(std::ostringstream& detail, const NnlsResult& r,
 
 /// Column -> incident-row adjacency, so each Gram row can be accumulated
 /// independently (and hence in parallel) while every entry's sum still
-/// runs in ascending row order — the jobs-invariance contract.
+/// runs in ascending row order — the width-invariance contract.
 struct ColumnAdjacency {
   std::vector<std::size_t> offsets;       // cols + 1 prefix sums
   std::vector<std::uint32_t> incident;    // row ids, ascending per column
@@ -94,8 +94,7 @@ ColumnAdjacency column_adjacency(const SparseSystemView& system) {
 
 }  // namespace
 
-void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
-                     std::size_t jobs) {
+void accumulate_gram(GramSystem& gs, const SparseSystemView& system) {
   const std::size_t n = system.cols;
   if (gs.gram.rows() != n || gs.gram.cols() != n) {
     TOMO_REQUIRE(gs.gram.rows() == 0 && gs.atb.empty() && gs.btb == 0.0,
@@ -106,7 +105,7 @@ void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
   }
 
   const ColumnAdjacency adj = column_adjacency(system);
-  util::parallel_for(jobs, n, [&](std::size_t i) {
+  util::parallel_for(n, [&](std::size_t i) {
     double* gram_row = gs.gram.row_data(i);
     double ci = gs.atb[i];
     for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
@@ -127,15 +126,14 @@ void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
   }
 }
 
-void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
-                      std::size_t jobs) {
+void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system) {
   const std::size_t n = system.cols;
   TOMO_REQUIRE(gs.gram.rows() == n && gs.gram.cols() == n,
                "refresh_gram_rhs: gram shape does not match the system");
   gs.atb.assign(n, 0.0);
   gs.btb = 0.0;
   const ColumnAdjacency adj = column_adjacency(system);
-  util::parallel_for(jobs, n, [&](std::size_t i) {
+  util::parallel_for(n, [&](std::size_t i) {
     double ci = 0.0;
     for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
          ++slot) {
@@ -150,8 +148,9 @@ void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
 }
 
 GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs) {
+  const util::ScopedWidth width(jobs);
   GramSystem gs;
-  accumulate_gram(gs, system, jobs);
+  accumulate_gram(gs, system);
   return gs;
 }
 
@@ -258,8 +257,9 @@ LogSystemSolution solve_log_system(const SparseSystemView& system,
       options.nnls_mode == NnlsMode::kIncremental) {
     // The headline path: Gram products straight from the sparse support;
     // the dense incidence matrix never exists.
-    return solve_sparse_incremental(system, sparse_gram(system, options.jobs),
-                                    options);
+    GramSystem gs;
+    accumulate_gram(gs, system);
+    return solve_sparse_incremental(system, gs, options);
   }
   // The remaining kinds are row-oriented; materialize a dense copy.
   Matrix a(system.rows.size(), system.cols);
@@ -294,7 +294,7 @@ LogSystemSolution solve_log_system(const SparseSystemView& system,
 LogSystemSolution solve_log_system_reuse(const SparseSystemView& system,
                                          GramSystem& gs,
                                          const SolverOptions& options) {
-  refresh_gram_rhs(gs, system, options.jobs);
+  refresh_gram_rhs(gs, system);
   return solve_log_system(system, gs, options);
 }
 

@@ -13,9 +13,9 @@
 //   - the sparse overload over a SparseSystemView, which never
 //     materializes the dense matrix at all for the (default) incremental
 //     NNLS engine — the Gram products G = A^T A and c = A^T b are
-//     accumulated straight from the per-row support, fanned across a
-//     worker pool column-by-column. Entry sums always run in row order, so
-//     the solution is bit-identical for any jobs value.
+//     accumulated straight from the per-row support, fanned across the
+//     executor column-by-column. Entry sums always run in row order, so
+//     the solution is bit-identical for any parallel width.
 #pragma once
 
 #include <cstddef>
@@ -49,9 +49,6 @@ struct SolverOptions {
   std::size_t max_iterations = 0;
   /// Active-set / convergence tolerance for NNLS.
   double tol = 1e-10;
-  /// Worker threads for the sparse Gram build (1 = inline on the caller,
-  /// 0 = all hardware cores). The result is bit-identical for any value.
-  std::size_t jobs = 1;
   /// Warm start for the incremental NNLS engine: column indices seeded
   /// into the passive set (normally the previous window's active_set in a
   /// streaming solve). Ignored by every other kind/engine; safe to leave
@@ -96,7 +93,7 @@ LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
                                    const SolverOptions& options);
 
 /// Sparse entry point: for NNLS in incremental mode the Gram system is
-/// built directly from the row support (in parallel for jobs > 1) and the
+/// built directly from the row support (across the executor) and the
 /// dense matrix never exists; the other solver kinds materialize a dense
 /// copy internally and delegate.
 LogSystemSolution solve_log_system(const SparseSystemView& system,
@@ -108,8 +105,9 @@ LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
 
 /// Builds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
 /// system A u = -y straight from the sparse rows, fanning columns across
-/// up to `jobs` workers. Exposed for the solver micro-benchmarks and the
-/// differential suite; entry sums are row-ordered, hence jobs-invariant.
+/// the executor at width `jobs` (0 = all hardware cores). Exposed for the
+/// solver micro-benchmarks and the differential suite; entry sums are
+/// row-ordered, hence width-invariant.
 GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs);
 
 /// Adds `system`'s Gram contribution on top of `gs` (sizing/zeroing it on
@@ -117,18 +115,16 @@ GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs);
 /// order, accumulating any in-order partition of the rows window by window
 /// executes the exact same floating-point addition sequence as one batch
 /// build — the result is *bitwise* equal to sparse_gram over the
-/// concatenated rows, for any split and any jobs value. This is the
+/// concatenated rows, for any split and any parallel width. This is the
 /// streaming path's additive-Gram contract.
-void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
-                     std::size_t jobs);
+void accumulate_gram(GramSystem& gs, const SparseSystemView& system);
 
 /// Recomputes only the right-hand-side products (c = A^T b, b^T b) of `gs`
 /// from scratch for `system`'s rows, leaving G untouched. For the
 /// streaming fast path where a window leaves the equation support (hence
-/// G) unchanged but refreshes every y. Same row-ordered, jobs-invariant
+/// G) unchanged but refreshes every y. Same row-ordered, width-invariant
 /// sums as a full build.
-void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
-                      std::size_t jobs);
+void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system);
 
 /// Solves with a caller-held Gram system of `system` (incremental NNLS
 /// only — options.kind/nnls_mode must select it). The sparse view is still

@@ -61,7 +61,8 @@ MeasurementBlock MeasurementBlock::all_good(std::size_t path_count,
   block.path_count = path_count;
   block.snapshot_count = snapshot_count;
   const std::size_t words = block.words_per_path();
-  block.good_bits.assign(path_count * words, ~std::uint64_t{0});
+  block.good_bits.assign(bit_matrix_words(path_count, snapshot_count),
+                         ~std::uint64_t{0});
   const std::uint64_t tail = block.word_mask(words - 1);
   for (PathId p = 0; p < path_count; ++p) {
     block.good_row(p)[words - 1] = tail;

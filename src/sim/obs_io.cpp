@@ -62,7 +62,11 @@ PathObservations read_observations(std::istream& is) {
       }
       if (obs.has_value()) fail("duplicate dimension line");
       if (paths == 0 || snapshots == 0) fail("empty observation matrix");
-      obs.emplace(paths, snapshots);
+      try {
+        obs.emplace(paths, snapshots);
+      } catch (const Error& e) {
+        fail(e.message());
+      }
     } else if (tag == "congested") {
       if (!obs.has_value()) fail("congested line before dimensions");
       std::size_t p;

@@ -90,11 +90,11 @@ SimulationResult simulate_batched(const graph::Graph& g,
       paths.size() * result.measurement.words_per_path(), 0);
 
   // Per-block link congestion tallies, merged serially in block order after
-  // the fan-out (jobs-invariant by construction; see SimulationResult).
+  // the fan-out (width-invariant by construction; see SimulationResult).
   std::vector<std::uint32_t> block_counts(blocks * links, 0);
 
   const double packets = static_cast<double>(config.packets_per_path);
-  util::parallel_for(config.jobs, blocks, [&](std::size_t b) {
+  util::parallel_for(blocks, [&](std::size_t b) {
     const std::size_t first = b * kBlockSnapshots;
     const std::size_t count =
         std::min(kBlockSnapshots, config.snapshots - first);

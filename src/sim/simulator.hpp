@@ -10,8 +10,8 @@
 //                blocks (one good-bit word per path per block): each block
 //                derives its own RNG stream from mix_seed(seed, tag + block)
 //                and writes disjoint words of the MeasurementBlock, so
-//                blocks run in parallel across `jobs` workers with output
-//                bit-identical for any job count. Per-path delivery is
+//                blocks run in parallel at the caller's util::ScopedWidth with
+//                output bit-identical for any width. Per-path delivery is
 //                binomial, with an 8-sigma deterministic-fate shortcut that
 //                skips the draw when the verdict is certain. Bursty models
 //                restart their chains per block (see
@@ -65,11 +65,6 @@ struct SimulatorConfig {
   PacketMode mode = PacketMode::kBatched;
   double tl = 0.01;
   std::uint64_t seed = 1;
-  /// Worker threads for the batched engine's block fan-out (0 = all
-  /// hardware cores). Output is bit-identical for any value. Defaults to 1
-  /// so nested parallelism (trial-level fan-out) stays oversubscription-free
-  /// unless a caller explicitly hands the sim its own workers.
-  std::size_t jobs = 1;
 };
 
 struct SimulationResult {
@@ -78,7 +73,7 @@ struct SimulationResult {
   MeasurementBlock measurement;
   // Empirical per-link congestion counts (ground truth bookkeeping, used
   // for diagnostics and tests; the algorithms never see it). Accumulated by
-  // a serial per-block merge in block order, so it is jobs-invariant.
+  // a serial per-block merge in block order, so it is width-invariant.
   std::vector<std::size_t> link_congested_count;
   std::size_t snapshots = 0;
 

@@ -6,12 +6,24 @@
 
 namespace tomo::sim {
 
+std::size_t bit_matrix_words(std::size_t path_count,
+                             std::size_t snapshot_count) {
+  const std::size_t max_words = std::vector<std::uint64_t>().max_size();
+  // ceil(snapshots / 64) without the `snapshots + 63` wrap.
+  const std::size_t words = snapshot_count / 64 + (snapshot_count % 64 != 0);
+  TOMO_REQUIRE(words == 0 || path_count <= max_words / words,
+               std::to_string(path_count) + " paths x " +
+                   std::to_string(snapshot_count) +
+                   " snapshots overflows the bit-matrix size");
+  return path_count * words;
+}
+
 PathObservations::PathObservations(std::size_t path_count,
                                    std::size_t snapshot_count)
     : path_count_(path_count), snapshot_count_(snapshot_count) {
   TOMO_REQUIRE(path_count > 0, "observations need at least one path");
   TOMO_REQUIRE(snapshot_count > 0, "observations need at least one snapshot");
-  bits_.assign(path_count * words_per_path(), 0);
+  bits_.assign(bit_matrix_words(path_count, snapshot_count), 0);
 }
 
 const std::uint64_t* PathObservations::row(PathId p) const {

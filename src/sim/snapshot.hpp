@@ -18,6 +18,12 @@ namespace tomo::sim {
 using graph::PathId;
 using graph::PathIdSet;
 
+/// Words of a path-major bit matrix: `path_count` rows of ceil(snapshots /
+/// 64) words. Throws tomo::Error past what a std::vector can hold, so a
+/// crafted dimension line cannot wrap it into a short allocation.
+std::size_t bit_matrix_words(std::size_t path_count,
+                             std::size_t snapshot_count);
+
 class PathObservations {
  public:
   PathObservations(std::size_t path_count, std::size_t snapshot_count);

@@ -71,6 +71,13 @@ bool ObsStreamReader::parse_line(std::string line) {
     return false;
   }
   if (closed_) fail("content after the close marker");
+  const auto open_window = [&](std::size_t snapshots) {
+    try {
+      pending_ = sim::MeasurementBlock::all_good(paths_, snapshots);
+    } catch (const Error& e) {
+      fail(e.message());
+    }
+  };
 
   if (tag == "paths") {
     if (paths_ != 0) fail("duplicate dimension line");
@@ -82,7 +89,7 @@ bool ObsStreamReader::parse_line(std::string line) {
         fail("malformed dimension line");
       }
       if (paths_ == 0 || snapshots == 0) fail("empty observation matrix");
-      pending_ = sim::MeasurementBlock::all_good(paths_, snapshots);
+      open_window(snapshots);
     } else {
       if (!(ls >> paths_) || paths_ == 0) fail("malformed paths line");
     }
@@ -94,7 +101,7 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (pending_.has_value()) fail("nested window");
     std::size_t count = 0;
     if (!(ls >> count) || count == 0) fail("malformed window line");
-    pending_ = sim::MeasurementBlock::all_good(paths_, count);
+    open_window(count);
     return false;
   }
   if (tag == "congested") {

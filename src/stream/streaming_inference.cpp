@@ -82,11 +82,11 @@ WindowEstimate StreamingInference::push_window(
     if (reuse) {
       // Same equations, new measurements: G = AᵀA is exactly the batch
       // matrix already; only the rhs products depend on the y values.
-      linalg::refresh_gram_rhs(gram_, view, solver.jobs);
+      linalg::refresh_gram_rhs(gram_, view);
       out.gram_reused = true;
     } else {
       gram_ = linalg::GramSystem{};
-      linalg::accumulate_gram(gram_, view, solver.jobs);
+      linalg::accumulate_gram(gram_, view);
       gram_valid_ = weight_samples == 0;
       if (gram_valid_) {
         remember_support(harvest.system);

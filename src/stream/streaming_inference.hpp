@@ -21,9 +21,13 @@
 //
 // Convergence contract: the estimate after window k equals a one-shot
 // batch infer_congestion over the same snapshots — identical equation
-// system and Gram bits, same NNLS optimum (bit-identical when the solve is
-// cold, equal active set and solution to solver tolerance when
-// warm-started). Output is bit-identical for any jobs value.
+// system and Gram bits and an equal NNLS optimum. A cold solve is
+// bit-identical to the batch. A warm-started solve reaches the same
+// objective value to solver tolerance, but the same active set and
+// solution only when the system has full column rank: on a rank-deficient
+// system (waxman-full: rank 761 < 856 links) the warm start can stop at a
+// different minimizer of equal objective (ROADMAP item 4). Output is
+// bit-identical for any parallel width.
 #pragma once
 
 #include <cstddef>

@@ -1,75 +1,47 @@
-// Worker-thread pool and a deterministic parallel_for on top of it.
+// The process-wide executor and the deterministic parallel_for on top of it.
 //
-// The experiment engine fans independent Monte-Carlo trials across cores:
-// every work item derives its own RNG stream from (seed, index), writes
-// into its own result slot, and the caller reduces in index order — so the
-// output is bit-identical no matter how many workers ran. parallel_for
-// encodes that contract: indices are claimed dynamically (trials vary in
-// cost), results land by index, and the lowest-index exception is rethrown
-// after every item has settled.
+// Items derive their RNG streams from (seed, index) and write only their
+// own slots, so the output is bit-identical however many threads ran. The
+// width is a thread's ScopedWidth (default 1): a call at width w runs on
+// the caller plus w-1 workers of one persistent pool, started lazily and
+// joined at exit. A parallel_for inside the body of a call that fanned out
+// runs inline; a call that does not fan out leaves the width to the layers
+// below.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <vector>
 
 namespace tomo::util {
 
-/// Resolves a `--jobs`-style request into a worker count: 0 means "all
-/// hardware cores" (at least 1); anything else is used as given.
+/// Resolves a `--jobs`-style request into a width: 0 means "all hardware
+/// cores" (at least 1); anything else is used as given.
 std::size_t resolve_jobs(std::size_t requested);
 
-/// Fixed-size pool of worker threads consuming a FIFO task queue.
-class ThreadPool {
+/// Sets the calling thread's width to resolve_jobs(jobs) for the scope's
+/// lifetime and restores the previous width on exit (also when unwinding).
+class ScopedWidth {
  public:
-  /// Spawns `workers` threads (0 resolves to all hardware cores).
-  explicit ThreadPool(std::size_t workers = 0);
+  explicit ScopedWidth(std::size_t jobs);
+  ~ScopedWidth();
 
-  /// Drains the queue and joins the workers: every submitted task runs
-  /// before destruction completes (futures are never broken).
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t worker_count() const { return workers_.size(); }
-
-  /// Enqueues `fn` and returns a future for its result. Exceptions thrown
-  /// by `fn` surface from future::get().
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
+  ScopedWidth(const ScopedWidth&) = delete;
+  ScopedWidth& operator=(const ScopedWidth&) = delete;
 
  private:
-  void enqueue(std::function<void()> job);
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
+  std::size_t saved_;
 };
 
-/// Runs body(i) for every i in [0, n), on up to `jobs` workers (0 = all
-/// hardware cores; jobs <= 1 or n <= 1 runs inline on the caller).
-/// Indices are claimed dynamically, so uneven item costs balance across
-/// workers; determinism is the *caller's* contract (write only to slot i).
-/// If items throw, every remaining item still runs, and the exception from
-/// the lowest index is rethrown once all items have settled.
-void parallel_for(std::size_t jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& body);
+/// The width the next parallel_for on this thread runs at: 1 inside the
+/// body of a call that fanned out, else the innermost open scope's width.
+std::size_t parallel_width();
+
+/// Runs body(i) for every i in [0, n) on up to min(parallel_width(), n)
+/// threads, the caller included. Indices are claimed dynamically, so
+/// uneven item costs balance; determinism is the *caller's* contract
+/// (write only to slot i). If items throw, every remaining item still
+/// runs, and the exception from the lowest index is rethrown once all
+/// items have settled.
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace tomo::util

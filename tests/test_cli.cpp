@@ -22,9 +22,11 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_cli(const std::string& args) {
+/// Runs tomo_cli with `args`; `env` (shell assignments) prefixes the
+/// child's command line.
+CommandResult run_cli(const std::string& args, const std::string& env = "") {
   const std::string command =
-      std::string(TOMO_CLI_PATH) + " " + args + " 2>&1";
+      env + std::string(TOMO_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string output;
@@ -130,6 +132,29 @@ TEST_F(CliWorkflow, LocalizeReportsLinks) {
                                   *topo_ + " --obs " + *obs_);
   EXPECT_LE(r.exit_code, 1);  // 1 = infeasible snapshot (noise), still ok
   EXPECT_NE(r.output.find("congested path"), std::string::npos);
+}
+
+// A dimension line too large to allocate must surface as a clean error
+// (exit 1, "tomo_cli: std::bad_alloc"), not an uncaught std::bad_alloc
+// (abort, 134). allocator_may_return_null lets an ASan build's operator
+// new throw too, where the sanitizer runtime supports it; GCC 12's runtime
+// still reports the failed allocation itself, also with exit code 1.
+TEST_F(CliWorkflow, UnallocatableObservationFileFailsCleanly) {
+  const std::string huge = temp_path("cli_huge_obs.txt");
+  {
+    std::ofstream os(huge);
+    os << "tomo-observations v1\npaths 870 snapshots 99999999999\n";
+  }
+  const CommandResult r = run_cli(
+      "infer --topology " + *topo_ + " --obs " + huge,
+      "ASAN_OPTIONS=${ASAN_OPTIONS:+$ASAN_OPTIONS:}"
+      "allocator_may_return_null=1 ");
+  std::remove(huge.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+#ifndef __SANITIZE_ADDRESS__
+  EXPECT_NE(r.output.find("tomo_cli: std::bad_alloc"), std::string::npos)
+      << r.output;
+#endif
 }
 
 TEST(CliErrors, UnknownSubcommandFails) {

@@ -21,6 +21,7 @@
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::core {
 namespace {
@@ -88,7 +89,7 @@ EquationSystem reference_build(const PreparedScenario& p,
   const sim::EmpiricalMeasurement scalar(p.observations,
                                          /*use_bitset_cache=*/false);
   options.use_signature_precheck = false;
-  options.jobs = 1;
+  const util::ScopedWidth width(1);
   return build_equations(p.coverage, sets, scalar, options);
 }
 
@@ -108,7 +109,7 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
   ASSERT_TRUE(fast.uses_bitset_cache());
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     EquationBuildOptions options;
-    options.jobs = jobs;
+    const util::ScopedWidth width(jobs);
     const EquationSystem sys =
         build_equations(p.coverage, p.inst.declared_sets, fast, options);
     expect_identical(sys, ref,
@@ -176,7 +177,7 @@ TEST(EquationsFast, RandomTopologiesSeedsAndOptionVariations) {
       EquationBuildOptions options = variations[v];
       const EquationSystem ref =
           reference_build(p, p.inst.declared_sets, options);
-      options.jobs = 3;
+      const util::ScopedWidth width(3);
       const EquationSystem sys =
           build_equations(p.coverage, p.inst.declared_sets, fast, options);
       expect_identical(sys, ref,

@@ -644,7 +644,7 @@ TEST(Solvers, WindowedGramAccumulationIsBitwiseBatchEqual) {
             std::min(first + window, sys.view.rows.size());
         chunk.rows.assign(sys.view.rows.begin() + first,
                           sys.view.rows.begin() + last);
-        accumulate_gram(accumulated, chunk, 1);
+        accumulate_gram(accumulated, chunk);
       }
       expect_gram_bits_equal(accumulated, batch,
                              "seed=" + std::to_string(seed) +
@@ -672,7 +672,7 @@ TEST(Solvers, RefreshGramRhsRestoresExactBits) {
     scribbled.atb[j] = 1e9 + static_cast<double>(j);
   }
   scribbled.btb = -1.0;
-  refresh_gram_rhs(scribbled, sys.view, 1);
+  refresh_gram_rhs(scribbled, sys.view);
   expect_gram_bits_equal(scribbled, batch, "refreshed rhs");
 }
 

@@ -25,6 +25,7 @@
 #include "linalg/solvers.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::core {
 namespace {
@@ -74,10 +75,10 @@ void expect_engines_agree(const EquationSystem& sys,
       linalg::solve_log_system(sys.matrix(), sys.rhs(), reference);
 
   linalg::SolverOptions incremental;  // defaults: nnls, incremental
-  incremental.jobs = 1;
+  const util::ScopedWidth width1(1);
   const linalg::LogSystemSolution inc =
       linalg::solve_log_system(sparse_view(sys), incremental);
-  incremental.jobs = 3;
+  const util::ScopedWidth width3(3);
   const linalg::LogSystemSolution inc_parallel =
       linalg::solve_log_system(sparse_view(sys), incremental);
 

@@ -87,6 +87,24 @@ TEST(ObsIo, RejectsMalformedInput) {
   }
 }
 
+// A dimension line whose bit matrix exceeds what a std::vector holds (also
+// when `snapshots + 63` itself wraps) is rejected with its line number,
+// not wrapped into a short allocation that set_congested writes past.
+TEST(ObsIo, RejectsDimensionLinesWhoseBitMatrixOverflows) {
+  for (const char* dims : {"128 snapshots 9223372036854775808",
+                           "128 snapshots 18446744073709551615"}) {
+    std::stringstream s(std::string("tomo-observations v1\npaths ") + dims +
+                        "\ncongested 0 5\n");
+    try {
+      read_observations(s);
+      FAIL() << "expected tomo::Error for paths " << dims;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find("line 2"), std::string::npos)
+          << e.message();
+    }
+  }
+}
+
 // The SimulationResult::observations() / obs-IO asymmetry fix: the
 // bitmask block now writes and re-reads directly, so daemon replay inputs
 // are trustworthy without a PathObservations detour.

@@ -21,6 +21,7 @@
 #include "graph/coverage.hpp"
 #include "sim/simulator.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::core {
 namespace {
@@ -60,7 +61,7 @@ TEST(PerfSharded, Hier10kEndToEndStaysWithinBudget) {
   sc.packets_per_path = 400;
   sc.mode = sim::PacketMode::kBatched;
   sc.seed = 7;
-  sc.jobs = 0;
+  const util::ScopedWidth width(0);
   sim::SimulationResult sim_result =
       sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
 

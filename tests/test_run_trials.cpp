@@ -10,6 +10,7 @@
 #include "core/run_trials.hpp"
 #include "core/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -24,14 +25,16 @@ TEST(TrialContext, SeedMatchesTheBenchConvention) {
 }
 
 TEST(RunTrials, ZeroTrialsYieldNothing) {
+  const tomo::util::ScopedWidth width(4);
   const auto outcomes =
-      run_trials(0, 4, 1, [](const TrialContext&) { return 1; });
+      run_trials(0, 1, [](const TrialContext&) { return 1; });
   EXPECT_TRUE(outcomes.empty());
 }
 
 TEST(RunTrials, OutcomesArriveInTrialOrderWithTimings) {
+  const tomo::util::ScopedWidth width(3);
   const auto outcomes = run_trials(
-      8, 3, 99, [](const TrialContext& ctx) { return ctx.trial * 10; });
+      8, 99, [](const TrialContext& ctx) { return ctx.trial * 10; });
   ASSERT_EQ(outcomes.size(), 8u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].index, i);
@@ -50,9 +53,10 @@ TEST(RunTrials, JobsCountNeverChangesSeededRandomOutput) {
     for (int i = 0; i < 100; ++i) draws.push_back(rng.uniform());
     return draws;
   };
-  const auto serial = run_trials(16, 1, 42, body);
+  const auto serial = run_trials(16, 42, body);
   for (const std::size_t jobs : {2u, 4u, 16u}) {
-    const auto parallel = run_trials(16, jobs, 42, body);
+    const tomo::util::ScopedWidth width(jobs);
+    const auto parallel = run_trials(16, 42, body);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].value, serial[i].value) << "jobs=" << jobs;
@@ -78,8 +82,9 @@ TEST(RunTrials, ExperimentPipelineIsBitIdenticalAcrossJobs) {
     const auto result = tomo::core::run_experiment(inst, config);
     return result.correlation.congestion_prob;
   };
-  const auto serial = run_trials(3, 1, 7, body);
-  const auto parallel = run_trials(3, 3, 7, body);
+  const auto serial = run_trials(3, 7, body);
+  const tomo::util::ScopedWidth width(3);
+  const auto parallel = run_trials(3, 7, body);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].value.size(), parallel[i].value.size());

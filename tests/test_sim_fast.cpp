@@ -21,6 +21,7 @@
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
 #include "sim/simulator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::sim {
 namespace {
@@ -43,7 +44,7 @@ SimulationResult run(const core::ScenarioInstance& inst, PacketMode mode,
   config.snapshots = snapshots;
   config.packets_per_path = 500;
   config.mode = mode;
-  config.jobs = jobs;
+  const util::ScopedWidth width(jobs);
   config.seed = 0xba7c4ed;
   return simulate(inst.graph, inst.paths, *inst.truth, config);
 }

@@ -27,6 +27,7 @@
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::stream {
 namespace {
@@ -281,6 +282,34 @@ TEST(ObsStream, MalformedInputFailsWithLineNumbers) {
   }
 }
 
+// Dimension and window lines whose bit matrix exceeds what a std::vector
+// holds are rejected with their line number, not wrapped into a short
+// allocation.
+TEST(ObsStream, RejectsWindowsWhoseBitMatrixOverflows) {
+  const struct {
+    const char* wire;
+    const char* line;
+  } cases[] = {
+      {"tomo-obs-stream v1\npaths 128\nwindow 9223372036854775808\n",
+       "line 3"},
+      {"tomo-obs-stream v1\npaths 128\nwindow 18446744073709551615\n",
+       "line 3"},
+      {"tomo-observations v1\npaths 128 snapshots 9223372036854775808\n"
+       "congested 0 5\n",
+       "line 2"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream wire(c.wire);
+    ObsStreamReader reader(wire);
+    try {
+      reader.next();
+      FAIL() << "expected tomo::Error for " << c.wire;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find(c.line), std::string::npos) << e.message();
+    }
+  }
+}
+
 /// serve() end to end on in-memory streams: a tiny scenario's trace is
 /// replayed through the full daemon loop (producer thread + ring +
 /// StreamingInference) and must emit one JSON line per window,
@@ -307,8 +336,7 @@ TEST(Serve, EmitsOneDeterministicJsonLinePerWindow) {
     std::stringstream input(bytes);
     std::stringstream output;
     ServeOptions options;
-    options.streaming.inference.solver.jobs = jobs;
-    options.streaming.inference.equations.jobs = jobs;
+    const util::ScopedWidth width(jobs);
     const ServeReport report =
         serve(input, output, sys.graph, sys.paths, sys.sets, options);
     EXPECT_EQ(report.windows, 3u);  // 150 + 150 + 100

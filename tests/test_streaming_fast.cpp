@@ -24,6 +24,7 @@
 #include "sim/simulator.hpp"
 #include "stream/streaming_inference.hpp"
 #include "stream/streaming_measurement.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tomo::stream {
 namespace {
@@ -53,8 +54,7 @@ core::InferenceResult batch_infer(const Prepared& p, std::size_t jobs = 1) {
   const sim::EmpiricalMeasurement measurement(
       sim::MeasurementBlock(p.simr.measurement));
   core::InferenceOptions options;
-  options.solver.jobs = jobs;
-  options.equations.jobs = jobs;
+  const util::ScopedWidth width(jobs);
   return core::infer_congestion(p.inst.graph, p.inst.paths, coverage,
                                 p.inst.declared_sets, measurement, options);
 }
@@ -65,8 +65,7 @@ std::vector<WindowEstimate> streamed_infer(const Prepared& p,
                                            bool warm_start = true,
                                            bool reuse_gram = true) {
   StreamingOptions options;
-  options.inference.solver.jobs = jobs;
-  options.inference.equations.jobs = jobs;
+  const util::ScopedWidth width(jobs);
   options.warm_start = warm_start;
   options.reuse_gram = reuse_gram;
   StreamingInference inference(p.inst.graph, p.inst.paths,

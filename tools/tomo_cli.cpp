@@ -38,6 +38,7 @@
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -162,6 +163,8 @@ int cmd_simulate(int argc, const char* const* argv) {
                 "simulation worker threads (0 = all cores); output is "
                 "identical for any value");
   if (!flags.parse(argc, argv)) return 0;
+  const util::ScopedWidth width(
+      static_cast<std::size_t>(flags.get_int("jobs")));
 
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
@@ -189,7 +192,6 @@ int cmd_simulate(int argc, const char* const* argv) {
   config.packets_per_path =
       static_cast<std::size_t>(flags.get_int("packets"));
   config.mode = sim::parse_packet_mode(flags.get_string("mode"));
-  config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   config.seed = rng();
   const auto result =
       sim::simulate(system.graph, system.paths, *truth, config);
@@ -222,11 +224,13 @@ int cmd_infer(int argc, const char* const* argv) {
   flags.add_string("bootstrap-mode", "batched",
                    "bootstrap engine: batched (Gram-skeleton reuse) | "
                    "reference (serial full re-inference)");
-  flags.add_int("bootstrap-jobs", 1,
-                "worker threads for bootstrap replicates (0 = all cores); "
-                "intervals are bit-identical for any value");
+  flags.add_int("jobs", 1,
+                "worker threads for the harvest, Gram and bootstrap (0 = "
+                "all cores); output is identical for any value");
   flags.add_bool("csv", false, "CSV output");
   if (!flags.parse(argc, argv)) return 0;
+  const std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+  const util::ScopedWidth width(jobs);
 
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
@@ -257,7 +261,7 @@ int cmd_infer(int argc, const char* const* argv) {
     boot.replicates = replicates;
     boot.mode =
         core::bootstrap_mode_from_string(flags.get_string("bootstrap-mode"));
-    boot.jobs = static_cast<std::size_t>(flags.get_int("bootstrap-jobs"));
+    boot.jobs = jobs;
     boot.inference = options;
     const core::BootstrapResult intervals = core::bootstrap_congestion(
         system.graph, system.paths, coverage, sets, obs, boot);
@@ -396,6 +400,9 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const tomo::Error& e) {
     std::fprintf(stderr, "tomo_cli: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tomo_cli: %s\n", e.what());
     return 1;
   }
 }

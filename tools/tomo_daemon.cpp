@@ -48,6 +48,7 @@
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -110,10 +111,6 @@ core::InferenceOptions inference_from(const Flags& flags) {
   core::InferenceOptions options;
   options.solver.kind =
       linalg::solver_kind_from_string(flags.get_string("solver"));
-  const std::size_t jobs =
-      static_cast<std::size_t>(flags.get_int("jobs"));
-  options.solver.jobs = jobs;
-  options.equations.jobs = jobs;
   return options;
 }
 
@@ -159,6 +156,8 @@ int cmd_record(int argc, const char* const* argv) {
                    "obs (classic, complete file) | stream (windowed)");
   flags.add_int("window", 256, "snapshots per window (stream format)");
   if (!flags.parse(argc, argv)) return 0;
+  const util::ScopedWidth width(
+      static_cast<std::size_t>(flags.get_int("jobs")));
 
   const ResolvedSystem system = resolve_system(flags);
   TOMO_REQUIRE(!system.truth.empty(),
@@ -170,7 +169,6 @@ int cmd_record(int argc, const char* const* argv) {
   config.packets_per_path =
       static_cast<std::size_t>(flags.get_int("packets"));
   config.mode = sim::parse_packet_mode(flags.get_string("mode"));
-  config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   config.seed = flags.get_int("sim-seed") != 0
                     ? static_cast<std::uint64_t>(flags.get_int("sim-seed"))
                     : mix_seed(static_cast<std::uint64_t>(
@@ -228,6 +226,8 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_bool("mean-err", true,
                  "report per-window mean_err when ground truth is known");
   if (!flags.parse(argc, argv)) return 0;
+  const util::ScopedWidth width(
+      static_cast<std::size_t>(flags.get_int("jobs")));
 
   const ResolvedSystem system = resolve_system(flags);
 
@@ -301,6 +301,8 @@ int cmd_batch(int argc, const char* const* argv) {
   flags.add_bool("mean-err", true,
                  "report mean_err when ground truth is known");
   if (!flags.parse(argc, argv)) return 0;
+  const util::ScopedWidth width(
+      static_cast<std::size_t>(flags.get_int("jobs")));
 
   const ResolvedSystem system = resolve_system(flags);
 
@@ -361,6 +363,9 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const tomo::Error& e) {
     std::fprintf(stderr, "tomo_daemon: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tomo_daemon: %s\n", e.what());
     return 1;
   }
 }

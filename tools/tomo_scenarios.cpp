@@ -164,9 +164,7 @@ ShardedScore run_sharded_entry(bench::Run& run,
 
     core::ShardedOptions options;
     options.max_shard_paths = max_shard_paths;
-    // Mirrors apply_trial_settings: with one trial the trial pool idles,
-    // so --jobs fans the shards instead (bit-identical either way).
-    options.jobs = s.trials == 1 ? s.jobs : 1;
+    options.jobs = s.jobs;  // inside fanned-out trials the shards run inline
     options.seed = ctx.seed(tag + 0x5d);
     options.inference = config.inference;
     const core::ShardedInferenceResult result = core::infer_sharded(
@@ -222,7 +220,7 @@ ShardedScore run_sharded_entry(bench::Run& run,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags("tomo_scenarios",
               "list or run the named scenarios of the registry");
   bench::add_common_flags(flags);
@@ -306,4 +304,10 @@ int main(int argc, char** argv) {
   run.table("scenario scores", table);
   run.finish();
   return 0;
+} catch (const tomo::Error& e) {
+  std::cerr << "tomo_scenarios: " << e.message() << "\n";
+  return 1;
+} catch (const std::exception& e) {
+  std::cerr << "tomo_scenarios: " << e.what() << "\n";
+  return 1;
 }
