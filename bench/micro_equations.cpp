@@ -98,7 +98,7 @@ BENCHMARK(BM_HarvestDenseVps)->Unit(benchmark::kMillisecond);
 
 void BM_HarvestDenseVpsReference(benchmark::State& state) {
   Prepared& p = prepared_dense_vps();
-  const sim::EmpiricalMeasurement scalar(p.sim_result.observations(),
+  const sim::EmpiricalMeasurement scalar(p.sim_result.measurement,
                                          /*use_bitset_cache=*/false);
   const auto singles =
       corr::CorrelationSets::singletons(p.coverage.link_count());

@@ -45,21 +45,23 @@ void draw_picks_into(std::size_t snapshot_count, Rng& rng,
   }
 }
 
-sim::PathObservations resample_snapshots(const sim::PathObservations& obs,
+sim::MeasurementBlock resample_snapshots(const sim::MeasurementBlock& block,
                                          Rng& rng) {
-  const std::size_t n = obs.snapshot_count();
-  sim::PathObservations out(obs.path_count(), n);
+  const std::size_t n = block.snapshot_count;
+  sim::MeasurementBlock out =
+      sim::MeasurementBlock::all_good(block.path_count, n);
   std::vector<std::size_t> picks(n);
   for (std::size_t i = 0; i < n; ++i) {
     picks[i] = static_cast<std::size_t>(rng.below(n));
   }
-  for (sim::PathId p = 0; p < obs.path_count(); ++p) {
+  for (sim::PathId p = 0; p < block.path_count; ++p) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (obs.congested(p, picks[i])) {
+      if (!block.good(p, picks[i])) {
         out.set_congested(p, i);
       }
     }
   }
+  out.recount();
   return out;
 }
 
@@ -120,12 +122,11 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
 
   if (options.mode == BootstrapMode::kReference) {
     // Historical serial baseline: per-bit resample, full re-inference.
-    const sim::PathObservations obs = block.to_observations();
     for (std::size_t r = 0; r < options.replicates; ++r) {
       Rng rng = replicate_rng(options.seed, r);
       Stopwatch resample_watch;
-      const sim::PathObservations replicate = resample_snapshots(obs, rng);
-      const sim::EmpiricalMeasurement measurement(replicate);
+      const sim::EmpiricalMeasurement measurement(
+          resample_snapshots(block, rng));
       result.resample_seconds += resample_watch.seconds();
       try {
         estimates[r] = infer_congestion(g, paths, coverage, sets,
@@ -309,17 +310,6 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
     result.upper[e] = interval.hi;
   }
   return result;
-}
-
-BootstrapResult bootstrap_congestion(const graph::Graph& g,
-                                     const std::vector<graph::Path>& paths,
-                                     const graph::CoverageIndex& coverage,
-                                     const corr::CorrelationSets& sets,
-                                     const sim::PathObservations& obs,
-                                     const BootstrapOptions& options) {
-  return bootstrap_congestion(g, paths, coverage, sets,
-                              sim::MeasurementBlock::from_observations(obs),
-                              options);
 }
 
 }  // namespace tomo::core

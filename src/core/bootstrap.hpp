@@ -35,7 +35,6 @@
 #include "core/correlation_algorithm.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
-#include "sim/snapshot.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -91,11 +90,12 @@ struct BootstrapResult {
   double resample_seconds = 0.0;
 };
 
-/// Resamples snapshots of `obs` with replacement (same count). The scalar
-/// per-bit path, kept as the differential reference for
-/// sim::MeasurementBlock::resample; consumes exactly one rng.below(n) per
-/// output snapshot, the shared pick-stream contract of both engines.
-sim::PathObservations resample_snapshots(const sim::PathObservations& obs,
+/// Resamples snapshots of `block` with replacement (same count). The
+/// scalar per-bit path (MeasurementBlock::good / set_congested), kept as
+/// the differential reference for sim::MeasurementBlock::resample;
+/// consumes exactly one rng.below(n) per output snapshot, the shared
+/// pick-stream contract of both engines.
+sim::MeasurementBlock resample_snapshots(const sim::MeasurementBlock& block,
                                          Rng& rng);
 
 /// The per-replicate seed stream: replicate r of a run with base `seed`
@@ -113,21 +113,12 @@ std::vector<std::uint32_t> draw_picks(std::size_t snapshot_count, Rng& rng);
 void draw_picks_into(std::size_t snapshot_count, Rng& rng,
                      std::vector<std::uint32_t>& picks);
 
-/// Full-pipeline bootstrap of the correlation algorithm. The block
-/// overload is the native one; the observation overload packs once and
-/// delegates.
+/// Full-pipeline bootstrap of the correlation algorithm.
 BootstrapResult bootstrap_congestion(const graph::Graph& g,
                                      const std::vector<graph::Path>& paths,
                                      const graph::CoverageIndex& coverage,
                                      const corr::CorrelationSets& sets,
                                      const sim::MeasurementBlock& block,
-                                     const BootstrapOptions& options = {});
-
-BootstrapResult bootstrap_congestion(const graph::Graph& g,
-                                     const std::vector<graph::Path>& paths,
-                                     const graph::CoverageIndex& coverage,
-                                     const corr::CorrelationSets& sets,
-                                     const sim::PathObservations& obs,
                                      const BootstrapOptions& options = {});
 
 /// Generic batched resample sweep for callers that bootstrap something

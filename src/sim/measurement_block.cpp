@@ -52,6 +52,18 @@ void transpose_to_snapshot_major(const MeasurementBlock& block,
 
 }  // namespace
 
+std::size_t bit_matrix_words(std::size_t path_count,
+                             std::size_t snapshot_count) {
+  const std::size_t max_words = std::vector<std::uint64_t>().max_size();
+  // ceil(snapshots / 64) without the `snapshots + 63` wrap.
+  const std::size_t words = snapshot_count / 64 + (snapshot_count % 64 != 0);
+  TOMO_REQUIRE(words == 0 || path_count <= max_words / words,
+               std::to_string(path_count) + " paths x " +
+                   std::to_string(snapshot_count) +
+                   " snapshots overflows the bit-matrix size");
+  return path_count * words;
+}
+
 MeasurementBlock MeasurementBlock::all_good(std::size_t path_count,
                                             std::size_t snapshot_count) {
   TOMO_REQUIRE(path_count > 0, "measurement block needs at least one path");
@@ -85,6 +97,18 @@ void MeasurementBlock::recount() {
   for (PathId p = 0; p < path_count; ++p) {
     good_counts[p] = k.popcount(good_row(p), words);
   }
+}
+
+bool MeasurementBlock::good(PathId p, std::size_t n) const {
+  TOMO_REQUIRE(p < path_count, "path id out of range");
+  TOMO_REQUIRE(n < snapshot_count, "snapshot index out of range");
+  return (good_row(p)[n / 64] >> (n % 64)) & 1;
+}
+
+void MeasurementBlock::set_congested(PathId p, std::size_t n) {
+  TOMO_REQUIRE(p < path_count, "path id out of range");
+  TOMO_REQUIRE(n < snapshot_count, "snapshot index out of range");
+  good_row(p)[n / 64] &= ~(std::uint64_t{1} << (n % 64));
 }
 
 void MeasurementBlock::append(const MeasurementBlock& window) {
@@ -256,39 +280,6 @@ MeasurementBlock MeasurementBlock::resample(
     std::span<const std::uint32_t> picks) const {
   ResampleScratch scratch;
   return resample(picks, scratch);
-}
-
-MeasurementBlock MeasurementBlock::from_observations(
-    const PathObservations& obs) {
-  MeasurementBlock block;
-  block.path_count = obs.path_count();
-  block.snapshot_count = obs.snapshot_count();
-  const std::size_t words = block.words_per_path();
-  block.good_bits.resize(block.path_count * words);
-  for (PathId p = 0; p < block.path_count; ++p) {
-    const std::uint64_t* congested = obs.congested_words(p);
-    std::uint64_t* good = block.good_row(p);
-    for (std::size_t w = 0; w < words; ++w) {
-      good[w] = ~congested[w] & block.word_mask(w);
-    }
-  }
-  block.recount();
-  return block;
-}
-
-PathObservations MeasurementBlock::to_observations() const {
-  TOMO_REQUIRE(!empty(), "cannot convert an empty measurement block");
-  PathObservations obs(path_count, snapshot_count);
-  const std::size_t words = words_per_path();
-  std::vector<std::uint64_t> congested(words);
-  for (PathId p = 0; p < path_count; ++p) {
-    const std::uint64_t* good = good_row(p);
-    for (std::size_t w = 0; w < words; ++w) {
-      congested[w] = ~good[w] & word_mask(w);
-    }
-    obs.assign_congested_row(p, congested.data());
-  }
-  return obs;
 }
 
 }  // namespace tomo::sim

@@ -1,24 +1,33 @@
-// The simulator → measurement hand-off: path-major good-snapshot bitmasks.
+// Per-snapshot path observations: path-major good-snapshot bitmasks.
 //
-// The equation harvest only ever consumes snapshot observations as per-path
-// good-bit words (AND + popcount over pairs). MeasurementBlock is exactly
-// that representation — one bitmask row per path (bit n = path good in
-// snapshot n, tail bits beyond snapshot_count cleared) plus the per-path
-// popcounts — produced directly by the batched simulator and adopted by
-// EmpiricalMeasurement without any re-packing. PathObservations (the
-// congested-bit view used by serialization and bootstrap resampling) is
-// derivable in either direction; conversions are exact bit complements, so
-// every downstream count is identical whichever side produced the data.
+// An experiment yields, for each path, one congested/good bit per
+// snapshot. MeasurementBlock is the one representation of that matrix —
+// one bitmask row per path (bit n = path good in snapshot n, tail bits
+// beyond snapshot_count cleared) plus the per-path popcounts — so joint
+// statistics (P(two paths simultaneously good), exact congested-path
+// patterns) reduce to word-wise AND plus popcount. The batched simulator
+// writes it directly, EmpiricalMeasurement adopts it without re-packing,
+// and the obs-file reader, the daemon's window reader, the bootstrap
+// resample and the per-bit reference engines all produce or consume it.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "graph/coverage.hpp"
 #include "graph/path.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tomo::sim {
+
+using graph::PathId;
+using graph::PathIdSet;
+
+/// Words of a path-major bit matrix: `path_count` rows of ceil(snapshots /
+/// 64) words. Throws tomo::Error past what a std::vector can hold, so a
+/// crafted dimension line cannot wrap it into a short allocation.
+std::size_t bit_matrix_words(std::size_t path_count,
+                             std::size_t snapshot_count);
 
 /// Reusable scratch for MeasurementBlock::resample. Holds the
 /// snapshot-major bit transpose of the source block — rebuilt only when
@@ -66,6 +75,13 @@ struct MeasurementBlock {
   /// Recomputes good_counts from good_bits (after direct bit writes).
   void recount();
 
+  /// Per-bit access for the scalar writers and readers (the legacy and
+  /// reference simulators, the reference resample, the obs readers):
+  /// whether path `p` was good in snapshot `n`, and marking it congested
+  /// (clears the good bit; good_counts go stale until recount()).
+  bool good(PathId p, std::size_t n) const;
+  void set_congested(PathId p, std::size_t n);
+
   /// Splices `window` onto the end of this block (same path set; snapshot
   /// n of the window becomes snapshot snapshot_count + n here). Appending
   /// to an empty block copies the window. Bit-exact for any split: a block
@@ -90,18 +106,14 @@ struct MeasurementBlock {
   /// 64x64 tiles (cached in `scratch` across replicates), each pick then
   /// gathers a whole word row instead of one bit per path, and the result
   /// transposes back to path-major — every step a util::bitops kernel, so
-  /// the bootstrap never goes through per-bit PathObservations writes and
-  /// the output is bitwise identical across the scalar and SIMD tables.
+  /// the bootstrap never goes through per-bit writes and the output is
+  /// bitwise identical across the scalar and SIMD tables.
   MeasurementBlock resample(std::span<const std::uint32_t> picks,
                             ResampleScratch& scratch) const;
 
   /// Convenience overload owning a throwaway scratch (one-off resamples;
   /// replicate loops should hoist a ResampleScratch instead).
   MeasurementBlock resample(std::span<const std::uint32_t> picks) const;
-
-  /// Exact complement conversions (tail handling included).
-  static MeasurementBlock from_observations(const PathObservations& obs);
-  PathObservations to_observations() const;
 };
 
 }  // namespace tomo::sim

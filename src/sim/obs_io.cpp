@@ -1,5 +1,6 @@
 #include "sim/obs_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -8,26 +9,67 @@
 
 namespace tomo::sim {
 
-void write_observations(std::ostream& os, const PathObservations& obs) {
-  os << "tomo-observations v1\n";
-  os << "paths " << obs.path_count() << " snapshots "
-     << obs.snapshot_count() << '\n';
-  for (PathId p = 0; p < obs.path_count(); ++p) {
+namespace {
+
+/// Parses a whole token as a decimal index; false on anything else
+/// (sign, fraction, trailing characters, overflow).
+bool parse_index(const std::string& token, std::size_t& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+void write_congested_lines(std::ostream& os, const MeasurementBlock& block) {
+  for (PathId p = 0; p < block.path_count; ++p) {
+    const std::uint64_t* good = block.good_row(p);
     bool any = false;
-    for (std::size_t n = 0; n < obs.snapshot_count(); ++n) {
-      if (obs.congested(p, n)) {
-        if (!any) {
-          os << "congested " << p;
-          any = true;
-        }
-        os << ' ' << n;
+    for (std::size_t n = 0; n < block.snapshot_count; ++n) {
+      // Congested = the good bit is clear.
+      if ((good[n / 64] >> (n % 64)) & 1) continue;
+      if (!any) {
+        os << "congested " << p;
+        any = true;
       }
+      os << ' ' << n;
     }
     if (any) os << '\n';
   }
 }
 
-PathObservations read_observations(std::istream& is) {
+void read_congested_line(std::istream& ls, MeasurementBlock& block) {
+  std::string token;
+  std::size_t p = 0;
+  if (!(ls >> token) || !parse_index(token, p)) {
+    throw Error("malformed congested line");
+  }
+  if (p >= block.path_count) throw Error("path id out of range");
+  while (ls >> token) {
+    std::size_t n = 0;
+    if (!parse_index(token, n)) {
+      throw Error("malformed congested line: '" + token +
+                  "' is not a snapshot id");
+    }
+    if (n >= block.snapshot_count) throw Error("snapshot id out of range");
+    block.set_congested(p, n);
+  }
+}
+
+void expect_line_end(std::istream& ls) {
+  std::string extra;
+  if (ls >> extra) throw Error("unexpected trailing '" + extra + "'");
+}
+
+void write_observations(std::ostream& os, const MeasurementBlock& block) {
+  TOMO_REQUIRE(!block.empty(), "cannot serialize an empty measurement block");
+  os << "tomo-observations v1\n";
+  os << "paths " << block.path_count << " snapshots " << block.snapshot_count
+     << '\n';
+  write_congested_lines(os, block);
+}
+
+MeasurementBlock read_observation_block(std::istream& is) {
   std::string line;
   std::size_t line_no = 0;
   auto fail = [&](const std::string& what) -> void {
@@ -35,8 +77,17 @@ PathObservations read_observations(std::istream& is) {
                 what);
   };
 
+  // The line helpers and the block allocation throw without a position.
+  auto at_line = [&](auto&& step) {
+    try {
+      step();
+    } catch (const Error& e) {
+      fail(e.message());
+    }
+  };
+
   bool have_header = false;
-  std::optional<PathObservations> obs;
+  std::optional<MeasurementBlock> block;
   while (std::getline(is, line)) {
     ++line_no;
     const auto hash = line.find('#');
@@ -50,6 +101,7 @@ PathObservations read_observations(std::istream& is) {
           version != "v1") {
         fail("expected header 'tomo-observations v1'");
       }
+      at_line([&] { expect_line_end(ls); });
       have_header = true;
       continue;
     }
@@ -60,63 +112,21 @@ PathObservations read_observations(std::istream& is) {
           snap_tag != "snapshots") {
         fail("malformed dimension line");
       }
-      if (obs.has_value()) fail("duplicate dimension line");
+      at_line([&] { expect_line_end(ls); });
+      if (block.has_value()) fail("duplicate dimension line");
       if (paths == 0 || snapshots == 0) fail("empty observation matrix");
-      try {
-        obs.emplace(paths, snapshots);
-      } catch (const Error& e) {
-        fail(e.message());
-      }
+      at_line([&] { block = MeasurementBlock::all_good(paths, snapshots); });
     } else if (tag == "congested") {
-      if (!obs.has_value()) fail("congested line before dimensions");
-      std::size_t p;
-      if (!(ls >> p)) fail("malformed congested line");
-      if (p >= obs->path_count()) fail("path id out of range");
-      std::size_t n;
-      while (ls >> n) {
-        if (n >= obs->snapshot_count()) fail("snapshot id out of range");
-        obs->set_congested(p, n);
-      }
+      if (!block.has_value()) fail("congested line before dimensions");
+      at_line([&] { read_congested_line(ls, *block); });
     } else {
       fail("unknown tag '" + tag + "'");
     }
   }
   TOMO_REQUIRE(have_header, "observation file is empty or missing header");
-  TOMO_REQUIRE(obs.has_value(), "observation file has no dimension line");
-  return *std::move(obs);
-}
-
-void write_observations(std::ostream& os, const MeasurementBlock& block) {
-  TOMO_REQUIRE(!block.empty(), "cannot serialize an empty measurement block");
-  os << "tomo-observations v1\n";
-  os << "paths " << block.path_count << " snapshots " << block.snapshot_count
-     << '\n';
-  for (PathId p = 0; p < block.path_count; ++p) {
-    const std::uint64_t* good = block.good_row(p);
-    bool any = false;
-    for (std::size_t n = 0; n < block.snapshot_count; ++n) {
-      // Congested = the good bit is clear (exact complement of the rows).
-      if ((good[n / 64] >> (n % 64)) & 1) continue;
-      if (!any) {
-        os << "congested " << p;
-        any = true;
-      }
-      os << ' ' << n;
-    }
-    if (any) os << '\n';
-  }
-}
-
-MeasurementBlock read_observation_block(std::istream& is) {
-  return MeasurementBlock::from_observations(read_observations(is));
-}
-
-void save_observations(const std::string& filename,
-                       const PathObservations& obs) {
-  std::ofstream os(filename);
-  TOMO_REQUIRE(os.good(), "cannot open " + filename + " for writing");
-  write_observations(os, obs);
-  TOMO_REQUIRE(os.good(), "failed writing " + filename);
+  TOMO_REQUIRE(block.has_value(), "observation file has no dimension line");
+  block->recount();
+  return *std::move(block);
 }
 
 void save_observations(const std::string& filename,
@@ -131,12 +141,6 @@ MeasurementBlock load_observation_block(const std::string& filename) {
   std::ifstream is(filename);
   TOMO_REQUIRE(is.good(), "cannot open " + filename);
   return read_observation_block(is);
-}
-
-PathObservations load_observations(const std::string& filename) {
-  std::ifstream is(filename);
-  TOMO_REQUIRE(is.good(), "cannot open " + filename);
-  return read_observations(is);
 }
 
 }  // namespace tomo::sim

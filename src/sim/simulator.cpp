@@ -151,11 +151,11 @@ SimulationResult simulate_batched(const graph::Graph& g,
 
 /// Differential reference for the batched engine: identical block and RNG
 /// semantics, executed as deliberately plain scalar code — serial block
-/// loop, per-path link-vector walk, PathObservations congested-bit writes,
-/// complement conversion at the end. Shares only the RNG, the loss model,
-/// and classify_fate with simulate_batched, so a bit-exact match between
-/// the two cross-checks the CSR flattening, the direct good-word packing,
-/// and the parallel merge.
+/// loop, per-path link-vector walk, per-bit set_congested writes into an
+/// all-good block, one recount at the end. Shares only the RNG, the loss
+/// model, and classify_fate with simulate_batched, so a bit-exact match
+/// between the two cross-checks the CSR flattening, the direct good-word
+/// packing, and the parallel merge.
 SimulationResult simulate_batched_reference(
     const graph::Graph& g, const std::vector<graph::Path>& paths,
     const corr::CongestionModel& model, const SimulatorConfig& config) {
@@ -169,7 +169,8 @@ SimulationResult simulate_batched_reference(
   SimulationResult result;
   result.snapshots = config.snapshots;
   result.link_congested_count.assign(links, 0);
-  PathObservations obs(paths.size(), config.snapshots);
+  MeasurementBlock& obs = result.measurement;
+  obs = MeasurementBlock::all_good(paths.size(), config.snapshots);
 
   const double packets = static_cast<double>(config.packets_per_path);
   std::vector<std::uint8_t> states;
@@ -210,7 +211,7 @@ SimulationResult simulate_batched_reference(
       }
     }
   }
-  result.measurement = MeasurementBlock::from_observations(obs);
+  obs.recount();
   return result;
 }
 
@@ -226,7 +227,8 @@ SimulationResult simulate_legacy(const graph::Graph& g,
   SimulationResult result;
   result.snapshots = config.snapshots;
   result.link_congested_count.assign(g.link_count(), 0);
-  PathObservations observations(paths.size(), config.snapshots);
+  MeasurementBlock& observations = result.measurement;
+  observations = MeasurementBlock::all_good(paths.size(), config.snapshots);
 
   const std::vector<double> tp = path_thresholds(loss_model, paths);
 
@@ -282,7 +284,7 @@ SimulationResult simulate_legacy(const graph::Graph& g,
       }
     }
   }
-  result.measurement = MeasurementBlock::from_observations(observations);
+  observations.recount();
   return result;
 }
 

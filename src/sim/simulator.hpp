@@ -18,7 +18,7 @@
 //                CongestionModel::sample_block).
 //   kBatchedReference — the same block semantics executed by an
 //                independent scalar per-snapshot implementation (serial,
-//                PathObservations writes, no CSR flattening); the batched
+//                per-bit block writes, no CSR flattening); the batched
 //                engine must match it bit for bit — the differential anchor.
 //   kBinomial  — legacy per-snapshot single-stream engine: per path,
 //                delivered ~ Binomial(n, Π(1-loss_k)); exactly equivalent
@@ -40,7 +40,6 @@
 #include "graph/path.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/measurement_block.hpp"
-#include "sim/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace tomo::sim {
@@ -76,10 +75,6 @@ struct SimulationResult {
   // a serial per-block merge in block order, so it is width-invariant.
   std::vector<std::size_t> link_congested_count;
   std::size_t snapshots = 0;
-
-  /// Congested-bit view for serialization / bootstrap resampling.
-  /// Materializes a copy — hot paths should consume `measurement` directly.
-  PathObservations observations() const { return measurement.to_observations(); }
 };
 
 /// Runs the experiment and returns per-path congestion observations.

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/obs_io.hpp"
 #include "util/error.hpp"
 
 namespace tomo::stream {
@@ -21,19 +22,7 @@ void ObsStreamWriter::write_window(const sim::MeasurementBlock& window) {
   TOMO_REQUIRE(window.path_count == path_count_,
                "window path count does not match the stream header");
   os_ << "window " << window.snapshot_count << '\n';
-  for (sim::PathId p = 0; p < window.path_count; ++p) {
-    const std::uint64_t* good = window.good_row(p);
-    bool any = false;
-    for (std::size_t n = 0; n < window.snapshot_count; ++n) {
-      if ((good[n / 64] >> (n % 64)) & 1) continue;
-      if (!any) {
-        os_ << "congested " << p;
-        any = true;
-      }
-      os_ << ' ' << n;
-    }
-    if (any) os_ << '\n';
-  }
+  sim::write_congested_lines(os_, window);
   os_ << "end\n";
   os_.flush();
 }
@@ -58,6 +47,16 @@ bool ObsStreamReader::parse_line(std::string line) {
   std::istringstream ls(line);
   std::string tag;
   if (!(ls >> tag)) return false;
+  // The sim line helpers and the block allocation throw without a
+  // position.
+  const auto at_line = [&](auto&& step) {
+    try {
+      step();
+    } catch (const Error& e) {
+      fail(e.message());
+    }
+  };
+  const auto line_end = [&] { at_line([&] { sim::expect_line_end(ls); }); };
 
   if (!have_header_) {
     std::string version;
@@ -66,17 +65,16 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (!known || !(ls >> version) || version != "v1") {
       fail("expected 'tomo-obs-stream v1' or 'tomo-observations v1'");
     }
+    line_end();
     batch_ = tag == "tomo-observations";
     have_header_ = true;
     return false;
   }
   if (closed_) fail("content after the close marker");
   const auto open_window = [&](std::size_t snapshots) {
-    try {
+    at_line([&] {
       pending_ = sim::MeasurementBlock::all_good(paths_, snapshots);
-    } catch (const Error& e) {
-      fail(e.message());
-    }
+    });
   };
 
   if (tag == "paths") {
@@ -88,10 +86,12 @@ bool ObsStreamReader::parse_line(std::string line) {
           snap_tag != "snapshots") {
         fail("malformed dimension line");
       }
+      line_end();
       if (paths_ == 0 || snapshots == 0) fail("empty observation matrix");
       open_window(snapshots);
     } else {
       if (!(ls >> paths_) || paths_ == 0) fail("malformed paths line");
+      line_end();
     }
     return false;
   }
@@ -101,6 +101,7 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (pending_.has_value()) fail("nested window");
     std::size_t count = 0;
     if (!(ls >> count) || count == 0) fail("malformed window line");
+    line_end();
     open_window(count);
     return false;
   }
@@ -109,26 +110,20 @@ bool ObsStreamReader::parse_line(std::string line) {
       fail(batch_ ? "congested line before dimensions"
                   : "congested line outside a window");
     }
-    std::size_t p = 0;
-    if (!(ls >> p)) fail("malformed congested line");
-    if (p >= paths_) fail("path id out of range");
-    std::uint64_t* row = pending_->good_row(p);
-    std::size_t n = 0;
-    while (ls >> n) {
-      if (n >= pending_->snapshot_count) fail("snapshot id out of range");
-      row[n / 64] &= ~(std::uint64_t{1} << (n % 64));
-    }
+    at_line([&] { sim::read_congested_line(ls, *pending_); });
     return false;
   }
   if (tag == "end") {
     if (batch_) fail("end marker in a batch observation file");
     if (!pending_.has_value()) fail("end without a window");
+    line_end();
     pending_->recount();
     return true;
   }
   if (tag == "close") {
     if (batch_) fail("close marker in a batch observation file");
     if (pending_.has_value()) fail("close inside a window");
+    line_end();
     closed_ = true;
     return false;
   }

@@ -15,14 +15,21 @@ StreamingMeasurement::StreamingMeasurement(std::size_t path_count)
 void StreamingMeasurement::append(const sim::MeasurementBlock& window) {
   TOMO_REQUIRE(window.path_count == path_count_,
                "appended window has a different path count");
-  block_.append(window);
-  view_ = std::make_unique<sim::EmpiricalMeasurement>(
-      sim::MeasurementBlock(block_));
+  if (view_) {
+    view_->append(window);
+  } else {
+    view_.emplace(window);
+  }
   ++windows_;
 }
 
+const sim::MeasurementBlock& StreamingMeasurement::block() const {
+  static const sim::MeasurementBlock kEmpty;
+  return view_ ? view_->block() : kEmpty;
+}
+
 const sim::EmpiricalMeasurement& StreamingMeasurement::view() const {
-  TOMO_REQUIRE(view_ != nullptr,
+  TOMO_REQUIRE(view_.has_value(),
                "streaming measurement queried before any window arrived");
   return *view_;
 }

@@ -1,17 +1,17 @@
 // The measurement provider that grows as windows arrive.
 //
-// StreamingMeasurement splices each arriving snapshot window onto a
-// cumulative MeasurementBlock (bit-exact append, ragged offsets included)
-// and answers every MeasurementProvider query over *all* data seen so far
-// by delegating to a refreshed EmpiricalMeasurement — literally the batch
-// provider over the cumulative block. Because the cumulative block after k
-// appends is bit-identical to the batch block over the same snapshots, a
-// harvest run against this provider is byte-identical to the batch harvest
-// at every window boundary; that is the streamed-vs-batch equivalence
-// contract tests/test_streaming_fast.cpp pins.
+// StreamingMeasurement splices each arriving snapshot window onto the
+// cumulative MeasurementBlock owned by one EmpiricalMeasurement (bit-exact
+// append, ragged offsets included) and answers every MeasurementProvider
+// query over *all* data seen so far by delegating to it — literally the
+// batch provider over the cumulative block. Because the cumulative block
+// after k appends is bit-identical to the batch block over the same
+// snapshots, a harvest run against this provider is byte-identical to the
+// batch harvest at every window boundary; that is the streamed-vs-batch
+// equivalence contract tests/test_streaming_fast.cpp pins.
 #pragma once
 
-#include <memory>
+#include <optional>
 
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
@@ -29,7 +29,7 @@ class StreamingMeasurement final : public sim::MeasurementProvider {
   std::size_t window_count() const { return windows_; }
 
   /// The cumulative block (empty before the first append).
-  const sim::MeasurementBlock& block() const { return block_; }
+  const sim::MeasurementBlock& block() const;
 
   using sim::MeasurementProvider::all_good_prob;
 
@@ -47,11 +47,10 @@ class StreamingMeasurement final : public sim::MeasurementProvider {
 
   std::size_t path_count_;
   std::size_t windows_ = 0;
-  sim::MeasurementBlock block_;
-  // Rebuilt on append from a copy of the cumulative block, so queries run
+  // Owns the cumulative block; appends grow it in place, so queries run
   // the exact batch-provider code path (no second AND/popcount
-  // implementation to drift).
-  std::unique_ptr<sim::EmpiricalMeasurement> view_;
+  // implementation to drift). Empty before the first append.
+  std::optional<sim::EmpiricalMeasurement> view_;
 };
 
 /// Splits a complete block into consecutive windows of `window_snapshots`

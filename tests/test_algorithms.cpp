@@ -50,7 +50,7 @@ TEST(CorrelationAlgorithm, ConvergesWithSnapshots) {
   for (const std::size_t snapshots : {200u, 20000u}) {
     config.snapshots = snapshots;
     const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-    const sim::EmpiricalMeasurement meas(simr.observations());
+    const sim::EmpiricalMeasurement meas(simr.measurement);
     const InferenceResult r =
         infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
     double err = 0.0;
@@ -74,7 +74,7 @@ TEST(CorrelationAlgorithm, HandlesPacketNoise) {
   config.packets_per_path = 800;
   config.seed = 103;
   const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const InferenceResult r =
       infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
   for (graph::LinkId e = 0; e < 4; ++e) {
@@ -192,7 +192,7 @@ TEST(CorrelationAlgorithm, EstimatesStayInUnitInterval) {
   config.packets_per_path = 30;
   config.seed = 999;
   const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const InferenceResult r =
       infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
   for (double p : r.congestion_prob) {

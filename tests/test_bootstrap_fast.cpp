@@ -157,9 +157,10 @@ TEST(BootstrapFast, SupportChangeTriggersPerReplicateFallback) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const std::size_t n = 32;
-  sim::PathObservations obs(3, n);
+  sim::MeasurementBlock obs = sim::MeasurementBlock::all_good(3, n);
   // Paths 1 and 2 good everywhere; path 0 good only in snapshot 0.
   for (std::size_t s = 1; s < n; ++s) obs.set_congested(0, s);
+  obs.recount();
 
   BootstrapOptions options;
   options.replicates = 24;
@@ -186,12 +187,13 @@ TEST(BootstrapFast, SkippedReplicatesAreAccountedFor) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const std::size_t n = 16;
-  sim::PathObservations obs(3, n);
+  sim::MeasurementBlock obs = sim::MeasurementBlock::all_good(3, n);
   // Every path good only in snapshot 0: a resample that misses it has no
   // usable equation at all and the replicate must be skipped.
   for (sim::PathId p = 0; p < 3; ++p) {
     for (std::size_t s = 1; s < n; ++s) obs.set_congested(p, s);
   }
+  obs.recount();
 
   BootstrapOptions options;
   options.replicates = 30;
@@ -217,25 +219,23 @@ TEST(BootstrapFast, SkippedReplicatesAreAccountedFor) {
 // count and the per-path good counts.
 TEST(BootstrapFast, BlockResampleMatchesScalarReference) {
   const std::size_t paths = 5, n = 150;
-  sim::PathObservations obs(paths, n);
+  sim::MeasurementBlock block = sim::MeasurementBlock::all_good(paths, n);
   Rng fill(0xf111);
   for (sim::PathId p = 0; p < paths; ++p) {
     for (std::size_t s = 0; s < n; ++s) {
-      if (fill.below(3) == 0) obs.set_congested(p, s);
+      if (fill.below(3) == 0) block.set_congested(p, s);
     }
   }
-  const sim::MeasurementBlock block =
-      sim::MeasurementBlock::from_observations(obs);
+  block.recount();
 
   for (std::uint64_t seed : {1ull, 7ull, 0xabcdull}) {
     // Both paths consume the identical pick stream by contract.
     Rng scalar_rng(seed);
-    const sim::PathObservations scalar = resample_snapshots(obs, scalar_rng);
+    const sim::MeasurementBlock expected =
+        resample_snapshots(block, scalar_rng);
     Rng block_rng(seed);
     const std::vector<std::uint32_t> picks = draw_picks(n, block_rng);
     const sim::MeasurementBlock gathered = block.resample(picks);
-    const sim::MeasurementBlock expected =
-        sim::MeasurementBlock::from_observations(scalar);
     EXPECT_EQ(gathered.good_bits, expected.good_bits) << "seed " << seed;
     EXPECT_EQ(gathered.good_counts, expected.good_counts) << "seed " << seed;
   }

@@ -196,7 +196,7 @@ TEST(EquationsEdge, MinGoodSnapshotsFiltersThinEstimates) {
   config.mode = sim::PacketMode::kExact;
   config.seed = 3;
   const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   core::EquationBuildOptions strict;
   strict.min_good_snapshots = 1000;  // impossible with 100 snapshots

@@ -30,8 +30,6 @@ struct PreparedScenario {
   ScenarioInstance inst;
   graph::CoverageIndex coverage;
   sim::SimulationResult sim_result;
-  // Scalar copy of the snapshots, for the reference measurement path.
-  sim::PathObservations observations;
 };
 
 PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
@@ -44,9 +42,8 @@ PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
   sc.seed = sim_seed;
   sim::SimulationResult sim_result =
       sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
-  sim::PathObservations observations = sim_result.observations();
   return PreparedScenario{std::move(inst), std::move(coverage),
-                          std::move(sim_result), std::move(observations)};
+                          std::move(sim_result)};
 }
 
 void expect_identical(const EquationSystem& a, const EquationSystem& b,
@@ -86,7 +83,7 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
 EquationSystem reference_build(const PreparedScenario& p,
                                const corr::CorrelationSets& sets,
                                EquationBuildOptions options) {
-  const sim::EmpiricalMeasurement scalar(p.observations,
+  const sim::EmpiricalMeasurement scalar(p.sim_result.measurement,
                                          /*use_bitset_cache=*/false);
   options.use_signature_precheck = false;
   const util::ScopedWidth width(1);
@@ -139,10 +136,12 @@ TEST(EquationsFast, BitsetCacheMatchesScalarCountsEverywhere) {
   config.seed = 21;
   const PreparedScenario p = prepare(config, 7);
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  const sim::EmpiricalMeasurement scalar(p.observations, false);
+  const sim::EmpiricalMeasurement scalar(p.sim_result.measurement, false);
   ASSERT_FALSE(scalar.uses_bitset_cache());
-  const std::size_t n = p.observations.path_count();
+  const sim::MeasurementBlock& block = p.sim_result.measurement;
+  const std::size_t n = block.path_count;
   for (graph::PathId a = 0; a < n; ++a) {
+    ASSERT_EQ(fast.good_count(a), scalar.good_count(a)) << "path " << a;
     ASSERT_EQ(fast.good_prob(a), scalar.good_prob(a)) << "path " << a;
     for (graph::PathId b = 0; b < n; ++b) {
       ASSERT_EQ(fast.pair_good_prob(a, b), scalar.pair_good_prob(a, b))
@@ -153,6 +152,30 @@ TEST(EquationsFast, BitsetCacheMatchesScalarCountsEverywhere) {
   ASSERT_EQ(fast.all_good_prob({3}), scalar.all_good_prob({3}));
   ASSERT_EQ(fast.all_good_prob({1, 4}), scalar.all_good_prob({1, 4}));
   ASSERT_EQ(fast.all_good_prob({0, 2, 5}), scalar.all_good_prob({0, 2, 5}));
+
+  // Exact-pattern counts: the block mode's word-major loop against the
+  // scalar mode's path-major loop over complemented words.
+  ASSERT_EQ(fast.exact_pattern_prob({}), scalar.exact_pattern_prob({}));
+  for (graph::PathId a = 0; a < n; ++a) {
+    ASSERT_EQ(fast.exact_pattern_prob({a}), scalar.exact_pattern_prob({a}))
+        << "path " << a;
+  }
+  // Observed congested patterns; 300 snapshots leave a ragged final word
+  // (snapshots 256..299), which 257 and 299 fall in.
+  ASSERT_EQ(block.snapshot_count % 64, 44u);
+  std::size_t congested_patterns = 0;
+  for (const std::size_t snapshot : {0u, 1u, 100u, 257u, 299u}) {
+    graph::PathIdSet pattern;
+    for (graph::PathId a = 0; a < n; ++a) {
+      if (!block.good(a, snapshot)) pattern.push_back(a);
+    }
+    congested_patterns += pattern.empty() ? 0 : 1;
+    const double prob = fast.exact_pattern_prob(pattern);
+    EXPECT_GT(prob, 0.0) << "snapshot " << snapshot << " has its own pattern";
+    ASSERT_EQ(prob, scalar.exact_pattern_prob(pattern))
+        << "snapshot " << snapshot;
+  }
+  EXPECT_GT(congested_patterns, 0u) << "no snapshot had a congested path";
 }
 
 TEST(EquationsFast, RandomTopologiesSeedsAndOptionVariations) {

@@ -132,7 +132,7 @@ TEST(GilbertModel, SimulatorEstimatesStayConsistent) {
   const auto result = sim::simulate(sys.graph, sys.paths, model, config);
   // P(P1 good) = P(e1 good) P(e3 good) = (1-0.25)(1-0.15).
   const double p1_good =
-      static_cast<double>(result.observations().good_count(0)) /
+      static_cast<double>(result.measurement.good_counts[0]) /
       static_cast<double>(config.snapshots);
   EXPECT_NEAR(p1_good, 0.75 * 0.85, 0.02);
 }

@@ -208,7 +208,7 @@ TEST(GoldenMetrics, TheoremFig1aCongestionFactors) {
   const auto simr = sim::simulate(g, paths, truth, sim_config);
 
   const graph::CoverageIndex cov(g, paths);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const core::TheoremResult r = core::run_theorem_algorithm(cov, sets, meas);
 
   // alpha_A by definition from the worked distributions (fig1_tables).

@@ -89,33 +89,36 @@ TEST(MergedInference, NoOpOnIdentifiableTopology) {
 // ----------------------------------------------------------- bootstrap ----
 
 TEST(Bootstrap, ResampleKeepsDimensions) {
-  sim::PathObservations obs(2, 100);
-  obs.set_congested(0, 5);
+  sim::MeasurementBlock block = sim::MeasurementBlock::all_good(2, 100);
+  block.set_congested(0, 5);
+  block.recount();
   Rng rng(1);
-  const sim::PathObservations r = resample_snapshots(obs, rng);
-  EXPECT_EQ(r.path_count(), 2u);
-  EXPECT_EQ(r.snapshot_count(), 100u);
+  const sim::MeasurementBlock r = resample_snapshots(block, rng);
+  EXPECT_EQ(r.path_count, 2u);
+  EXPECT_EQ(r.snapshot_count, 100u);
 }
 
 TEST(Bootstrap, ResamplePreservesAllGoodAndAllBad) {
-  sim::PathObservations obs(1, 50);
+  const sim::MeasurementBlock good = sim::MeasurementBlock::all_good(1, 50);
   Rng rng(2);
   // All good: any resample is all good.
-  EXPECT_EQ(resample_snapshots(obs, rng).good_count(0), 50u);
-  sim::PathObservations bad(1, 50);
+  EXPECT_EQ(resample_snapshots(good, rng).good_counts[0], 50u);
+  sim::MeasurementBlock bad = sim::MeasurementBlock::all_good(1, 50);
   for (std::size_t n = 0; n < 50; ++n) bad.set_congested(0, n);
-  EXPECT_EQ(resample_snapshots(bad, rng).good_count(0), 0u);
+  bad.recount();
+  EXPECT_EQ(resample_snapshots(bad, rng).good_counts[0], 0u);
 }
 
 TEST(Bootstrap, ResampleFrequencyIsUnbiased) {
-  sim::PathObservations obs(1, 1000);
-  for (std::size_t n = 0; n < 300; ++n) obs.set_congested(0, n);
+  sim::MeasurementBlock block = sim::MeasurementBlock::all_good(1, 1000);
+  for (std::size_t n = 0; n < 300; ++n) block.set_congested(0, n);
+  block.recount();
   Rng rng(3);
   double total = 0.0;
   const int reps = 200;
   for (int r = 0; r < reps; ++r) {
     total += static_cast<double>(
-        1000 - resample_snapshots(obs, rng).good_count(0));
+        1000 - resample_snapshots(block, rng).good_counts[0]);
   }
   EXPECT_NEAR(total / reps, 300.0, 10.0);
 }
@@ -135,7 +138,7 @@ TEST(Bootstrap, IntervalsBracketTruthOnFigure1a) {
     options.replicates = 40;
     options.seed = seed * 7;
     const BootstrapResult r = bootstrap_congestion(
-        sys.graph, sys.paths, cov, sys.sets, simr.observations(), options);
+        sys.graph, sys.paths, cov, sys.sets, simr.measurement, options);
     EXPECT_EQ(r.replicates, 40u);
     for (graph::LinkId e = 0; e < 4; ++e) {
       ASSERT_LE(r.lower[e], r.point[e] + 1e-9);
@@ -165,7 +168,7 @@ TEST(Bootstrap, MoreSnapshotsNarrowIntervals) {
     BootstrapOptions options;
     options.replicates = 30;
     const BootstrapResult r = bootstrap_congestion(
-        sys.graph, sys.paths, cov, sys.sets, simr.observations(), options);
+        sys.graph, sys.paths, cov, sys.sets, simr.measurement, options);
     double width = 0.0;
     for (graph::LinkId e = 0; e < 4; ++e) {
       width += r.upper[e] - r.lower[e];
@@ -178,7 +181,7 @@ TEST(Bootstrap, MoreSnapshotsNarrowIntervals) {
 TEST(Bootstrap, ValidatesOptions) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
-  sim::PathObservations obs(3, 10);
+  const sim::MeasurementBlock obs = sim::MeasurementBlock::all_good(3, 10);
   BootstrapOptions options;
   options.replicates = 1;
   EXPECT_THROW(bootstrap_congestion(sys.graph, sys.paths, cov, sys.sets,

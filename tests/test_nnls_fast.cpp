@@ -46,7 +46,7 @@ PreparedSystem prepare(ScenarioConfig config, std::uint64_t sim_seed) {
   sc.seed = sim_seed;
   const sim::SimulationResult simr =
       sim::simulate(out.inst.graph, out.inst.paths, *out.inst.truth, sc);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   out.correlation =
       build_equations(coverage, out.inst.declared_sets, meas);
   const corr::CorrelationSets singles =

@@ -64,7 +64,7 @@ TEST(PerfEquations, DenseVpsHarvestStaysWithinBudget) {
   std::size_t sink = 0;
   const Stopwatch timer;
   for (int round = 0; round < kRounds; ++round) {
-    const sim::EmpiricalMeasurement meas(simr.observations());
+    const sim::EmpiricalMeasurement meas(simr.measurement);
     sink += build_equations(coverage, inst.declared_sets, meas)
                 .equations.size();
     sink += build_equations(coverage, singles, meas).equations.size();

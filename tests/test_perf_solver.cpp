@@ -60,7 +60,7 @@ TEST(PerfSolver, DenseVpsNnlsSolveStaysWithinBudget) {
   sc.seed = 7;
   const auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
   const graph::CoverageIndex coverage(inst.graph, inst.paths);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const corr::CorrelationSets singles =
       corr::CorrelationSets::singletons(coverage.link_count());
   const EquationSystem correlation =

@@ -144,7 +144,7 @@ TEST_P(SeedSweep, SimulatedFrequenciesMatchOracle) {
   config.seed = mix_seed(GetParam(), 0xabc);
   const auto simr =
       sim::simulate(inst.graph, inst.paths, *inst.truth, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   // Single-path good frequencies track the oracle within sampling noise.
   for (graph::PathId p = 0; p < inst.paths.size(); ++p) {
     ASSERT_NEAR(meas.good_prob(p), oracle.good_prob(p), 0.05)

@@ -8,7 +8,6 @@
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -42,42 +41,56 @@ TEST(LossModel, RejectsBadThreshold) {
   EXPECT_THROW(LossModel(1.0), Error);
 }
 
-// --------------------------------------------------- path observations ----
+// ------------------------------------------------- measurement block ----
+// Per-bit writes on a block, with the counts read back through both
+// EmpiricalMeasurement modes (block kernels and the scalar reference).
 
-TEST(PathObservations, BitAccounting) {
-  PathObservations obs(2, 100);
-  EXPECT_EQ(obs.good_count(0), 100u);
-  obs.set_congested(0, 3);
-  obs.set_congested(0, 64);  // second word
-  obs.set_congested(1, 3);
-  EXPECT_EQ(obs.good_count(0), 98u);
-  EXPECT_TRUE(obs.congested(0, 3));
-  EXPECT_FALSE(obs.congested(0, 4));
-  // Congested snapshots of either path: {3, 64} -> 98 jointly good.
-  EXPECT_EQ(obs.both_good_count(0, 1), 98u);
-  EXPECT_EQ(obs.all_good_count({0, 1}), 98u);
+TEST(MeasurementBlock, BitAccounting) {
+  MeasurementBlock block = MeasurementBlock::all_good(2, 100);
+  EXPECT_EQ(block.good_counts[0], 100u);
+  block.set_congested(0, 3);
+  block.set_congested(0, 64);  // second word
+  block.set_congested(1, 3);
+  block.recount();
+  EXPECT_EQ(block.good_counts[0], 98u);
+  EXPECT_FALSE(block.good(0, 3));
+  EXPECT_TRUE(block.good(0, 4));
+  for (const bool cache : {true, false}) {
+    const EmpiricalMeasurement m(block, cache);
+    EXPECT_EQ(m.good_count(0), 98u);
+    // Congested snapshots of either path: {3, 64} -> 98 jointly good.
+    EXPECT_DOUBLE_EQ(m.pair_good_prob(0, 1), 98.0 / 100.0);
+    EXPECT_DOUBLE_EQ(m.all_good_prob({0, 1}), 98.0 / 100.0);
+  }
 }
 
-TEST(PathObservations, ExactPatternCount) {
-  PathObservations obs(3, 10);
+TEST(MeasurementBlock, ExactPatternCount) {
+  MeasurementBlock block = MeasurementBlock::all_good(3, 10);
   // Snapshot 0: paths {0,1} congested. Snapshot 1: {0}. Snapshot 2: {0,1}.
-  obs.set_congested(0, 0);
-  obs.set_congested(1, 0);
-  obs.set_congested(0, 1);
-  obs.set_congested(0, 2);
-  obs.set_congested(1, 2);
-  EXPECT_EQ(obs.exact_pattern_count({0, 1}), 2u);
-  EXPECT_EQ(obs.exact_pattern_count({0}), 1u);
-  EXPECT_EQ(obs.exact_pattern_count({}), 7u);
-  EXPECT_EQ(obs.exact_pattern_count({2}), 0u);
+  block.set_congested(0, 0);
+  block.set_congested(1, 0);
+  block.set_congested(0, 1);
+  block.set_congested(0, 2);
+  block.set_congested(1, 2);
+  block.recount();
+  for (const bool cache : {true, false}) {
+    const EmpiricalMeasurement m(block, cache);
+    EXPECT_DOUBLE_EQ(m.exact_pattern_prob({0, 1}), 2.0 / 10.0);
+    EXPECT_DOUBLE_EQ(m.exact_pattern_prob({0}), 1.0 / 10.0);
+    EXPECT_DOUBLE_EQ(m.exact_pattern_prob({}), 7.0 / 10.0);
+    EXPECT_DOUBLE_EQ(m.exact_pattern_prob({2}), 0.0);
+  }
 }
 
-TEST(PathObservations, TailBitsDoNotLeak) {
+TEST(MeasurementBlock, TailBitsDoNotLeak) {
   // snapshot_count not a multiple of 64: the all-good pattern must count
   // only real snapshots.
-  PathObservations obs(1, 70);
-  EXPECT_EQ(obs.exact_pattern_count({}), 70u);
-  EXPECT_EQ(obs.good_count(0), 70u);
+  const MeasurementBlock block = MeasurementBlock::all_good(1, 70);
+  for (const bool cache : {true, false}) {
+    const EmpiricalMeasurement m(block, cache);
+    EXPECT_DOUBLE_EQ(m.exact_pattern_prob({}), 1.0);
+    EXPECT_EQ(m.good_count(0), 70u);
+  }
 }
 
 // ---------------------------------------------------------- simulator ----
@@ -91,9 +104,9 @@ TEST(Simulator, ExactModeAppliesSeparability) {
   config.mode = PacketMode::kExact;
   const auto result = simulate(sys.graph, sys.paths, *model, config);
   // P1={e1,e3} and P2={e2,e3} congested every snapshot; P3={e2,e4} never.
-  EXPECT_EQ(result.observations().good_count(0), 0u);
-  EXPECT_EQ(result.observations().good_count(1), 0u);
-  EXPECT_EQ(result.observations().good_count(2), 50u);
+  EXPECT_EQ(result.measurement.good_counts.at(0), 0u);
+  EXPECT_EQ(result.measurement.good_counts.at(1), 0u);
+  EXPECT_EQ(result.measurement.good_counts.at(2), 50u);
   EXPECT_EQ(result.link_congested_count[2], 50u);
   EXPECT_EQ(result.link_congested_count[0], 0u);
 }
@@ -109,8 +122,8 @@ TEST(Simulator, BinomialModeDetectsCongestionReliably) {
   const auto result = simulate(sys.graph, sys.paths, *model, config);
   // With 1000 packets, a congested path (loss > ~1%) is almost always
   // detected and a good path almost never misflagged.
-  EXPECT_LE(result.observations().good_count(0), 20u);
-  EXPECT_GE(result.observations().good_count(2), 180u);
+  EXPECT_LE(result.measurement.good_counts.at(0), 20u);
+  EXPECT_GE(result.measurement.good_counts.at(2), 180u);
 }
 
 TEST(Simulator, PerPacketAgreesWithBinomialStatistically) {
@@ -128,9 +141,9 @@ TEST(Simulator, PerPacketAgreesWithBinomialStatistically) {
   const auto rp = simulate(sys.graph, sys.paths, *model, perpkt);
   // Same congestion process statistics: good fractions agree within noise.
   for (graph::PathId p = 0; p < 3; ++p) {
-    const double fb = static_cast<double>(rb.observations().good_count(p)) /
+    const double fb = static_cast<double>(rb.measurement.good_counts.at(p)) /
                       binom.snapshots;
-    const double fp = static_cast<double>(rp.observations().good_count(p)) /
+    const double fp = static_cast<double>(rp.measurement.good_counts.at(p)) /
                       perpkt.snapshots;
     EXPECT_NEAR(fb, fp, 0.08) << "path " << p;
   }
@@ -145,7 +158,8 @@ TEST(Simulator, DeterministicInSeed) {
   const auto r1 = simulate(sys.graph, sys.paths, *model, config);
   const auto r2 = simulate(sys.graph, sys.paths, *model, config);
   for (graph::PathId p = 0; p < 3; ++p) {
-    EXPECT_EQ(r1.observations().good_count(p), r2.observations().good_count(p));
+    EXPECT_EQ(r1.measurement.good_counts.at(p),
+              r2.measurement.good_counts.at(p));
   }
 }
 
@@ -168,11 +182,12 @@ TEST(Simulator, EmpiricalMarginalsTrackModel) {
 // -------------------------------------------------------- measurement ----
 
 TEST(EmpiricalMeasurement, ProbabilitiesFromCounts) {
-  PathObservations obs(2, 10);
-  obs.set_congested(0, 0);
-  obs.set_congested(0, 1);
-  obs.set_congested(1, 1);
-  const EmpiricalMeasurement m(obs);
+  MeasurementBlock block = MeasurementBlock::all_good(2, 10);
+  block.set_congested(0, 0);
+  block.set_congested(0, 1);
+  block.set_congested(1, 1);
+  block.recount();
+  const EmpiricalMeasurement m(block);
   EXPECT_DOUBLE_EQ(m.good_prob(0), 0.8);
   EXPECT_DOUBLE_EQ(m.good_prob(1), 0.9);
   EXPECT_DOUBLE_EQ(m.pair_good_prob(0, 1), 0.8);
@@ -222,7 +237,7 @@ TEST(Oracle, PatternProbMatchesEmpirical) {
   config.mode = PacketMode::kExact;
   config.seed = 77;
   const auto result = simulate(sys.graph, sys.paths, *model, config);
-  const EmpiricalMeasurement empirical(result.observations());
+  const EmpiricalMeasurement empirical(result.measurement);
   for (const graph::PathIdSet& pattern :
        {graph::PathIdSet{}, {0}, {0, 1}, {0, 1, 2}, {2}}) {
     EXPECT_NEAR(empirical.exact_pattern_prob(pattern),

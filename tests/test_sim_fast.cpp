@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "core/scenario_catalog.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
+#include "sim/obs_io.hpp"
 #include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
 
@@ -77,19 +79,20 @@ TEST_P(RegistrySimDifferential, ObservationsRoundTripThroughBlock) {
   const core::ScenarioInstance inst = core::build_scenario(config);
   const SimulationResult result = run(inst, PacketMode::kBatched, 1, 97);
 
-  // block -> scalar observations -> block is the identity, including the
-  // zeroed tail bits past the snapshot count.
-  const PathObservations obs = result.measurement.to_observations();
-  const MeasurementBlock back = MeasurementBlock::from_observations(obs);
+  // block -> observation file (congested lines) -> block is the
+  // identity, including the zeroed tail bits past the snapshot count.
+  std::stringstream file;
+  write_observations(file, result.measurement);
+  const MeasurementBlock back = read_observation_block(file);
   EXPECT_EQ(back.good_bits, result.measurement.good_bits) << GetParam();
   EXPECT_EQ(back.good_counts, result.measurement.good_counts) << GetParam();
 
-  // Adopting the block and re-packing the scalar copy must answer set
-  // queries identically.
+  // Adopting the simulator's block and the scalar reference over the
+  // re-read one must answer set queries identically.
   const EmpiricalMeasurement adopted(result.measurement);
-  const EmpiricalMeasurement packed(obs);
-  for (graph::PathId p = 0; p < obs.path_count(); ++p) {
-    ASSERT_EQ(adopted.good_prob(p), packed.good_prob(p))
+  const EmpiricalMeasurement scalar(back, /*use_bitset_cache=*/false);
+  for (graph::PathId p = 0; p < back.path_count; ++p) {
+    ASSERT_EQ(adopted.good_prob(p), scalar.good_prob(p))
         << GetParam() << " path " << p;
   }
 }

@@ -280,6 +280,36 @@ TEST(ObsStream, MalformedInputFailsWithLineNumbers) {
         Error)
         << "window after close";
   }
+  // Every line is consumed to its end: a stray or non-numeric token fails
+  // with the line's number instead of silently dropping the rest.
+  const struct {
+    const char* wire;
+    const char* line;
+  } leftovers[] = {
+      {"tomo-obs-stream v1\npaths 2\nwindow 4\ncongested 0 1 2 junk 3\nend\n",
+       "line 4"},
+      {"tomo-obs-stream v1\npaths 2\nwindow 9\ncongested 0 1 2 3.5 7\nend\n",
+       "line 4"},
+      {"tomo-obs-stream v1 extra\npaths 2\n", "line 1"},
+      {"tomo-obs-stream v1\npaths 2 3\n", "line 2"},
+      {"tomo-obs-stream v1\npaths 2\nwindow 4 4\n", "line 3"},
+      {"tomo-obs-stream v1\npaths 2\nwindow 4\nend now\n", "line 4"},
+      {"tomo-obs-stream v1\npaths 2\nclose x\n", "line 3"},
+      {"tomo-observations v1\npaths 12 snapshots 100 trailing\n", "line 2"},
+      {"tomo-observations v1\npaths 2 snapshots 5\ncongested 0 1 2 junk 3\n",
+       "line 3"},
+  };
+  for (const auto& c : leftovers) {
+    std::stringstream wire(c.wire);
+    ObsStreamReader reader(wire);
+    try {
+      while (reader.next().has_value()) {
+      }
+      FAIL() << "expected tomo::Error for " << c.wire;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find(c.line), std::string::npos) << e.message();
+    }
+  }
 }
 
 // Dimension and window lines whose bit matrix exceeds what a std::vector

@@ -84,7 +84,7 @@ TEST(TheoremAlgorithm, AgreesWithEmpiricalMeasurements) {
   config.mode = sim::PacketMode::kExact;
   config.seed = 7;
   const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const TheoremResult r = run_theorem_algorithm(cov, sys.sets, meas);
   for (graph::LinkId e = 0; e < 4; ++e) {
     EXPECT_NEAR(r.congestion_prob[e], model->marginal(e), 0.02)

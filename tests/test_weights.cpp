@@ -114,7 +114,7 @@ TEST(VarianceWeights, EndToEndOptionStaysAccurate) {
   config.mode = sim::PacketMode::kExact;
   config.seed = 77;
   const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   InferenceOptions options;
   options.weight_by_variance = true;
   const InferenceResult r = infer_congestion(sys.graph, sys.paths, cov,

@@ -195,7 +195,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   config.seed = rng();
   const auto result =
       sim::simulate(system.graph, system.paths, *truth, config);
-  sim::save_observations(flags.get_string("out"), result.observations());
+  sim::save_observations(flags.get_string("out"), result.measurement);
   std::printf("simulated %zu snapshots over %zu paths -> %s\n",
               config.snapshots, system.paths.size(),
               flags.get_string("out").c_str());
@@ -235,11 +235,10 @@ int cmd_infer(int argc, const char* const* argv) {
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
-  const sim::PathObservations obs =
-      sim::load_observations(flags.get_string("obs"));
-  TOMO_REQUIRE(obs.path_count() == system.paths.size(),
+  const sim::EmpiricalMeasurement measurement(
+      sim::load_observation_block(flags.get_string("obs")));
+  TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
-  const sim::EmpiricalMeasurement measurement(obs);
   const graph::CoverageIndex coverage(system.graph, system.paths);
 
   core::InferenceOptions options;
@@ -264,7 +263,8 @@ int cmd_infer(int argc, const char* const* argv) {
     boot.jobs = jobs;
     boot.inference = options;
     const core::BootstrapResult intervals = core::bootstrap_congestion(
-        system.graph, system.paths, coverage, sets, obs, boot);
+        system.graph, system.paths, coverage, sets, measurement.block(),
+        boot);
     lower = intervals.lower;
     upper = intervals.upper;
   }
@@ -342,22 +342,21 @@ int cmd_localize(int argc, const char* const* argv) {
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
-  const sim::PathObservations obs =
-      sim::load_observations(flags.get_string("obs"));
-  TOMO_REQUIRE(obs.path_count() == system.paths.size(),
+  const sim::EmpiricalMeasurement measurement(
+      sim::load_observation_block(flags.get_string("obs")));
+  TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
   const std::size_t snapshot =
       static_cast<std::size_t>(flags.get_int("snapshot"));
-  TOMO_REQUIRE(snapshot < obs.snapshot_count(), "snapshot out of range");
-
-  const sim::EmpiricalMeasurement measurement(obs);
+  TOMO_REQUIRE(snapshot < measurement.sample_count(),
+               "snapshot out of range");
   const graph::CoverageIndex coverage(system.graph, system.paths);
   const core::InferenceResult probs = core::infer_congestion(
       system.graph, system.paths, coverage, sets, measurement);
 
   graph::PathIdSet congested;
-  for (graph::PathId p = 0; p < obs.path_count(); ++p) {
-    if (obs.congested(p, snapshot)) congested.push_back(p);
+  for (graph::PathId p = 0; p < measurement.path_count(); ++p) {
+    if (!measurement.block().good(p, snapshot)) congested.push_back(p);
   }
   std::printf("snapshot %zu: %zu congested path(s)\n", snapshot,
               congested.size());
