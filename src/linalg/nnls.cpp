@@ -135,7 +135,9 @@ class IncrementalNnls {
         cached_(cached),
         in_passive_(n_, 0),
         blocked_(n_, 0),
-        chol_(n_) {}
+        chol_(n_) {
+    index_nonzeros();
+  }
 
   NnlsResult run() {
     result_.x.assign(n_, 0.0);
@@ -165,10 +167,29 @@ class IncrementalNnls {
     finish_residual();
     result_.active_set.assign(passive_.begin(), passive_.end());
     std::sort(result_.active_set.begin(), result_.active_set.end());
+    result_.factor.chol = std::move(chol_);
+    result_.factor.passive = std::move(passive_);
     return std::move(result_);
   }
 
  private:
+  /// Records the nonzero pattern of G once per solve: for each row j
+  /// (== column j, G is symmetric) the ascending indices i with
+  /// G(j, i) != 0. The mesh systems' G is ~1% dense, and every loop that
+  /// walks this list instead of the dense row skips only terms
+  /// x_k * G(j, k) that are exactly +0 (x >= 0 and finite), so each
+  /// result is the same as the dense loop's.
+  void index_nonzeros() {
+    nz_offsets_.assign(n_ + 1, 0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      const double* row = gs_.gram.row_data(j);
+      for (std::size_t i = 0; i < n_; ++i) {
+        if (row[i] != 0.0) nz_index_.push_back(static_cast<std::uint32_t>(i));
+      }
+      nz_offsets_[j + 1] = nz_index_.size();
+    }
+  }
+
   /// Seeds the passive set from a previous solve's support before the
   /// active-set loop starts. Two phases: admit every valid, independent
   /// seed column into the factor, then restore feasibility by solving the
@@ -181,8 +202,9 @@ class IncrementalNnls {
   /// strictly shrinks each round, so the phase is bounded by the seed size.
   void warm_up() {
     if (cached_ != nullptr) {
-      // Adopt the pre-factored seed: bit-identical to running the
-      // admission loop below, minus the O(k^3) appends.
+      // Adopt the pre-factored seed (from seed_warm_factor, or the factor
+      // a solve against this same G ended with) in O(k^2), minus the
+      // O(k^3) appends of the admission loop below.
       chol_ = cached_->chol;
       passive_ = cached_->passive;
       for (std::size_t j : passive_) in_passive_[j] = 1;
@@ -224,14 +246,17 @@ class IncrementalNnls {
     }
   }
 
-  /// w = c - G x, using only the non-zero (passive) entries of x.
+  /// w = c - G x, using only the non-zero (passive) entries of x and the
+  /// nonzero entries of their columns: each w[i] sees the same
+  /// subtractions in the same order as a dense pass, minus exact zeros.
   Vector gradient() const {
     Vector w = gs_.atb;
     for (std::size_t j : passive_) {
       const double xj = result_.x[j];
       if (xj == 0.0) continue;
       const double* row = gs_.gram.row_data(j);  // row j == column j
-      for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t s = nz_offsets_[j]; s < nz_offsets_[j + 1]; ++s) {
+        const std::size_t i = nz_index_[s];
         w[i] -= xj * row[i];
       }
     }
@@ -377,14 +402,17 @@ class IncrementalNnls {
     return true;
   }
 
-  /// ||A x - b||^2 = b^T b - 2 x^T c + x^T G x, over the passive support.
+  /// ||A x - b||^2 = b^T b - 2 x^T c + x^T G x, over the passive support
+  /// (x is zero off it) and the nonzero entries of G.
   void finish_residual() {
     double quad = 0.0, lin = 0.0;
     for (std::size_t j : passive_) {
       lin += result_.x[j] * gs_.atb[j];
+      const double* g = gs_.gram.row_data(j);
       double row = 0.0;
-      for (std::size_t k : passive_) {
-        row += gs_.gram(j, k) * result_.x[k];
+      for (std::size_t s = nz_offsets_[j]; s < nz_offsets_[j + 1]; ++s) {
+        const std::size_t k = nz_index_[s];
+        row += g[k] * result_.x[k];
       }
       quad += result_.x[j] * row;
     }
@@ -405,6 +433,8 @@ class IncrementalNnls {
   std::vector<std::uint8_t> in_passive_;
   std::vector<std::uint8_t> blocked_;
   UpdatableCholesky chol_;
+  std::vector<std::size_t> nz_offsets_;  // n + 1 prefix offsets
+  std::vector<std::uint32_t> nz_index_;  // nonzero columns, row by row
 };
 
 std::size_t resolve_iteration_cap(std::size_t requested, std::size_t cols) {

@@ -34,17 +34,24 @@ enum class NnlsMode {
   kReference,    // fresh dense QR per inner iteration
 };
 
-/// The measurement-independent half of a warm start, precomputed: the
-/// Cholesky factor of G[P, P] with the admissible seed columns already
-/// appended (in seed order, dependent/empty columns dropped). Admission
-/// depends only on the Gram matrix and the seed — not the right-hand
-/// side — so callers solving many systems that share G (the batched
-/// bootstrap's replicates) build this once and let every solve copy the
-/// factor in O(k^2) instead of re-appending k columns in O(k^3). The copy
-/// is bit-identical to the rebuild, so results don't change.
+/// The measurement-independent half of a warm start: a Cholesky factor of
+/// G[P, P] and the columns P it covers, in factor order. It depends only
+/// on the Gram matrix, not the right-hand side, so it comes from two
+/// places:
+///   - seed_warm_factor: the admissible seed columns appended in seed
+///     order (dependent/empty columns dropped). Callers solving many
+///     systems that share G (the batched bootstrap's replicates) build it
+///     once and let every solve copy the factor in O(k^2) instead of
+///     re-appending k columns in O(k^3); the copy is bit-identical to the
+///     rebuild, so results don't change.
+///   - NnlsResult::factor: the factor a solve ends with, over its final
+///     passive set. A later solve against a bitwise-equal G (the next
+///     streaming window with an unchanged equation support) starts from
+///     it with no appends at all; it reaches the same objective as a seed
+///     rebuilt from the active set, though the factor's last bits differ.
 struct NnlsWarmFactor {
   UpdatableCholesky chol;
-  std::vector<std::size_t> passive;  // admitted seed columns, factor order
+  std::vector<std::size_t> passive;  // the factored columns, factor order
 };
 
 struct GramSystem;
@@ -71,10 +78,11 @@ struct NnlsOptions {
   /// ignores it.
   std::vector<std::size_t> warm_start;
   /// Optional pre-factored seed (incremental engine only). Must have been
-  /// built by seed_warm_factor against a GramSystem with the *same* gram
-  /// matrix as the one being solved (the rhs may differ). When set it
-  /// replaces the warm_start admission loop — warm_start itself is then
-  /// ignored. Not owned; the caller keeps it alive for the solve.
+  /// built by seed_warm_factor, or handed back in NnlsResult::factor, for
+  /// a GramSystem with the *same* gram matrix as the one being solved (the
+  /// rhs may differ). When set it replaces the warm_start admission loop —
+  /// warm_start itself is then ignored. Not owned; the caller keeps it
+  /// alive for the solve.
   const NnlsWarmFactor* warm_factor = nullptr;
 };
 
@@ -91,6 +99,12 @@ struct NnlsResult {
   /// NnlsOptions::warm_start to seed the next related solve. The reference
   /// engine leaves it empty.
   std::vector<std::size_t> active_set;
+  /// The factor of G[P, P] the incremental engine ended with, P its final
+  /// passive set in factor order (moved out, not copied). Pass it back
+  /// through NnlsOptions::warm_factor to start a solve against the same G
+  /// from this support with no factor appends. Empty from the reference
+  /// engine.
+  NnlsWarmFactor factor;
 };
 
 /// Normal-equations view of a least-squares problem: everything NNLS needs

@@ -240,6 +240,7 @@ LogSystemSolution solve_sparse_incremental(const SparseSystemView& system,
   }
   LogSystemSolution out = finish(std::move(r.x), detail);
   out.active_set = std::move(r.active_set);
+  out.nnls_factor = std::move(r.factor);
   out.residual_norm2 = sparse_residual_norm(system, out.x);
   return out;
 }

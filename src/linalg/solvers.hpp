@@ -54,9 +54,11 @@ struct SolverOptions {
   /// streaming solve). Ignored by every other kind/engine; safe to leave
   /// stale — see NnlsOptions::warm_start.
   std::vector<std::size_t> warm_start;
-  /// Pre-factored warm seed for solves sharing one Gram matrix (the
-  /// batched bootstrap); replaces the per-solve warm_start admission loop
-  /// bit-identically. Not owned — see NnlsOptions::warm_factor.
+  /// Pre-factored warm seed for solves sharing one Gram matrix: the
+  /// batched bootstrap's seed_warm_factor (bit-identical to the warm_start
+  /// admission loop it replaces), or the factor the previous streaming
+  /// window's solve handed back in LogSystemSolution::nnls_factor. Not
+  /// owned — see NnlsOptions::warm_factor.
   const NnlsWarmFactor* nnls_warm_factor = nullptr;
 };
 
@@ -84,6 +86,9 @@ struct LogSystemSolution {
   /// Converged NNLS support (incremental engine only), sorted ascending —
   /// the warm-start seed for the next window of a streaming solve.
   std::vector<std::size_t> active_set;
+  /// The passive-set factor the incremental NNLS solve ended with (see
+  /// NnlsResult::factor); empty from every other kind/engine.
+  NnlsWarmFactor nnls_factor;
 };
 
 /// Solves A x = y with x <= 0 using the requested solver. `y` entries must

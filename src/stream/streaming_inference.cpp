@@ -59,6 +59,7 @@ WindowEstimate StreamingInference::push_window(
     gram_valid_ = false;
     gram_support_.clear();
     prev_active_.clear();
+    factor_ = linalg::NnlsWarmFactor();
     out.seconds = timer.seconds();
     return out;
   }
@@ -69,17 +70,24 @@ WindowEstimate StreamingInference::push_window(
   const linalg::SparseSystemView view =
       core::sparse_view(harvest.system, weight_samples);
 
+  // An unweighted window whose support equals the previous one has a G
+  // bitwise equal to the previous window's, whether it is reused or
+  // rebuilt; the previous solve's factor is then a factor of this G.
+  const bool same_gram = incremental_solver() && weight_samples == 0 &&
+                         gram_valid_ && support_unchanged(harvest.system);
   linalg::SolverOptions solver = options_.inference.solver;
   if (options_.warm_start && incremental_solver()) {
     solver.warm_start = prev_active_;
+    if (same_gram && !factor_.passive.empty()) {
+      solver.nnls_warm_factor = &factor_;
+      out.factor_carried = true;
+    }
   }
 
   const Stopwatch solve_timer;
   linalg::LogSystemSolution solution;
   if (incremental_solver()) {
-    const bool reuse = options_.reuse_gram && weight_samples == 0 &&
-                       gram_valid_ && support_unchanged(harvest.system);
-    if (reuse) {
+    if (options_.reuse_gram && same_gram) {
       // Same equations, new measurements: G = AᵀA is exactly the batch
       // matrix already; only the rhs products depend on the y values.
       linalg::refresh_gram_rhs(gram_, view);
@@ -104,6 +112,10 @@ WindowEstimate StreamingInference::push_window(
   out.inference.system = std::move(harvest.system);
   out.inference.refined_links = std::move(harvest.refined_links);
   prev_active_ = solution.active_set;
+  // Kept only where a later window can take it: see same_gram above.
+  factor_ = options_.warm_start && weight_samples == 0
+                ? std::move(solution.nnls_factor)
+                : linalg::NnlsWarmFactor();
   core::apply_solution(out.inference, std::move(solution));
   out.usable = true;
   out.seconds = timer.seconds();

@@ -15,9 +15,14 @@
 //     either case bitwise what the batch build produces (additive,
 //     row-ordered accumulation; see linalg::accumulate_gram).
 //   - NNLS warm start: the solve is seeded from the previous window's
-//     converged active set via the UpdatableCholesky-backed engine, so the
+//     converged active set via the UpdatableCholesky-backed engine. When
+//     the solve is unweighted and the support is unchanged — so G is
+//     bitwise the previous window's, whether reused or rebuilt — the seed
+//     is the previous solve's own passive-set factor, carried across
+//     windows (linalg::NnlsWarmFactor): no column is re-admitted, and the
 //     steady-state cost per window is a handful of O(k²) factor edits
-//     instead of a cold active-set climb.
+//     instead of a cold active-set climb. Any other window re-admits the
+//     previous active set into a fresh factor of its new G.
 //
 // Convergence contract: the estimate after window k equals a one-shot
 // batch infer_congestion over the same snapshots — identical equation
@@ -62,6 +67,9 @@ struct WindowEstimate {
   core::InferenceResult inference;
   bool gram_reused = false;
   bool warm_started = false;
+  /// The solve started from the previous window's carried NNLS factor
+  /// rather than re-admitting its active set.
+  bool factor_carried = false;
   double seconds = 0.0;  // wall time of this window's append+harvest+solve
 };
 
@@ -96,6 +104,9 @@ class StreamingInference {
   bool gram_valid_ = false;
   std::vector<std::vector<graph::LinkId>> gram_support_;
   std::vector<std::size_t> prev_active_;
+  // The previous solve's passive-set factor: a factor of the previous
+  // window's G, valid for this window only when its G is bitwise equal.
+  linalg::NnlsWarmFactor factor_;
 };
 
 }  // namespace tomo::stream

@@ -302,5 +302,119 @@ TEST(NnlsFast, WarmStartSurvivesJunkSeeds) {
   }
 }
 
+// ------------------------------------------------- KKT certificate ----
+
+/// The NNLS optimality conditions, checked with arithmetic of the test's
+/// own: w = c - G x recomputed densely over every entry of G, then
+///   w_j <= tol            where x_j == 0 (no inactive column would help),
+///   |w_j| <= 1e-8 scale   where x_j > 0  (stationary on the support),
+/// plus x >= 0. It holds for any correct engine, whatever its pivoting,
+/// factor or sparsity shortcuts, so it pins the incremental engine's
+/// zero-skipping walks without trusting them.
+void expect_kkt(const linalg::GramSystem& gs, const linalg::NnlsResult& r,
+                const std::string& what) {
+  const std::size_t n = gs.gram.cols();
+  ASSERT_TRUE(r.converged) << what;
+  ASSERT_EQ(r.x.size(), n) << what;
+  double scale = 1.0;
+  for (double v : gs.atb) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      scale = std::max(scale, std::abs(gs.gram(i, j)));
+    }
+  }
+  const double tol = 1e-10 * scale;
+  for (std::size_t j = 0; j < n; ++j) {
+    ASSERT_GE(r.x[j], 0.0) << what << ": column " << j;
+    double w = gs.atb[j];
+    for (std::size_t k = 0; k < n; ++k) w -= gs.gram(j, k) * r.x[k];
+    if (r.x[j] == 0.0) {
+      EXPECT_LE(w, tol) << what << ": inactive column " << j;
+    } else {
+      EXPECT_LE(std::abs(w), 1e-8 * scale) << what << ": active column " << j;
+    }
+  }
+}
+
+/// Solves cold, then again from the factor the cold solve handed back —
+/// both must certify. Returns the cold active set.
+std::vector<std::size_t> expect_kkt_cold_and_carried(
+    const linalg::GramSystem& gs, const std::string& what) {
+  linalg::NnlsResult cold = linalg::nnls_gram(gs);
+  expect_kkt(gs, cold, what + " cold");
+  EXPECT_EQ(cold.factor.passive.size(), cold.active_set.size()) << what;
+  EXPECT_EQ(cold.factor.chol.size(), cold.factor.passive.size()) << what;
+  linalg::NnlsOptions options;
+  options.warm_factor = &cold.factor;
+  const linalg::NnlsResult carried = linalg::nnls_gram(gs, options);
+  expect_kkt(gs, carried, what + " carried factor");
+  return cold.active_set;
+}
+
+class RegistryKkt : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryKkt, SolutionsSatisfyKkt) {
+  ScenarioConfig config =
+      shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
+  config.seed = 0x6b6b;
+  const PreparedSystem p = prepare(config, 0x6b6b00);
+  expect_kkt_cold_and_carried(
+      linalg::sparse_gram(sparse_view(p.correlation), 1),
+      GetParam() + " correlation");
+  expect_kkt_cold_and_carried(
+      linalg::sparse_gram(sparse_view(p.independence), 1),
+      GetParam() + " independence");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, RegistryKkt,
+    ::testing::ValuesIn(ScenarioCatalog::instance().names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(NnlsFast, HandBuiltGramSystemsSatisfyKkt) {
+  // Disjoint row supports: G is block diagonal, every off-block entry an
+  // explicit zero the nonzero walks must skip.
+  const linalg::Matrix blocks{{1, 1, 0, 0, 0},
+                              {0, 1, 0, 0, 0},
+                              {0, 0, 1, 0, 0},
+                              {0, 0, 1, 1, 0},
+                              {0, 0, 0, 0, 2}};
+  EXPECT_EQ(expect_kkt_cold_and_carried(
+                linalg::make_gram(blocks, {3.0, 1.0, 0.5, 2.5, 4.0}),
+                "zero blocks")
+                .size(),
+            5u);
+  // Column 1 is all zero: G has an empty row and column (zero diagonal).
+  const linalg::Matrix empty_column{
+      {1, 0, 1}, {0, 0, 1}, {1, 0, 0}, {2, 0, 1}};
+  const std::vector<std::size_t> nonempty = expect_kkt_cold_and_carried(
+      linalg::make_gram(empty_column, {1.0, 2.0, 0.25, 3.0}),
+      "all-zero column");
+  EXPECT_EQ(std::count(nonempty.begin(), nonempty.end(), 1u), 0);
+  // Columns 0 and 2 are duplicates: the second is dependent on the first
+  // once admitted and must be rejected, not factored.
+  const linalg::Matrix duplicate{
+      {1, 0, 1, 0}, {1, 1, 1, 0}, {0, 1, 0, 1}, {0, 0, 0, 1}};
+  const std::vector<std::size_t> twins = expect_kkt_cold_and_carried(
+      linalg::make_gram(duplicate, {2.0, 3.0, 1.0, 0.5}), "duplicate columns");
+  EXPECT_EQ(std::count(twins.begin(), twins.end(), 0u) +
+                std::count(twins.begin(), twins.end(), 2u),
+            1);
+  // A right-hand side that pushes some columns to the bound: the active
+  // set is a strict subset, so the inactive inequality is exercised.
+  const linalg::Matrix bound{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1}};
+  EXPECT_LT(expect_kkt_cold_and_carried(
+                linalg::make_gram(bound, {-1.0, 2.0, 0.5, 1.0}),
+                "bound-active")
+                .size(),
+            3u);
+}
+
 }  // namespace
 }  // namespace tomo::core

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/correlation_algorithm.hpp"
+#include "core/equations.hpp"
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
@@ -34,13 +35,13 @@ struct Prepared {
   sim::SimulationResult simr;
 };
 
-Prepared prepare(const std::string& name) {
+Prepared prepare(const std::string& name, std::size_t snapshots = 300) {
   core::ScenarioConfig config = core::shrink_for_tests(
       core::ScenarioCatalog::instance().at(name).config);
   config.seed = 0x57e4;
   Prepared out{core::build_scenario(std::move(config)), {}};
   sim::SimulatorConfig sc;
-  sc.snapshots = 300;
+  sc.snapshots = snapshots;
   sc.packets_per_path = 500;
   sc.mode = sim::PacketMode::kBinomial;
   sc.seed = 0x57e400;
@@ -63,11 +64,13 @@ std::vector<WindowEstimate> streamed_infer(const Prepared& p,
                                            std::size_t window,
                                            std::size_t jobs,
                                            bool warm_start = true,
-                                           bool reuse_gram = true) {
+                                           bool reuse_gram = true,
+                                           bool weighted = false) {
   StreamingOptions options;
   const util::ScopedWidth width(jobs);
   options.warm_start = warm_start;
   options.reuse_gram = reuse_gram;
+  options.inference.weight_by_variance = weighted;
   StreamingInference inference(p.inst.graph, p.inst.paths,
                                p.inst.declared_sets, options);
   std::vector<WindowEstimate> out;
@@ -217,6 +220,104 @@ TEST(StreamingFast, GramReuseChangesNoBits) {
   }
   EXPECT_TRUE(any_reused)
       << "expected at least one steady-state window to reuse the Gram";
+}
+
+/// Sum of squared residuals of a solved window: the NNLS objective, which
+/// is unique even where the minimizer is not (rank-deficient systems).
+double nnls_objective(const core::InferenceResult& result) {
+  double sum = 0.0;
+  for (const linalg::SparseRow& row :
+       core::sparse_view(result.system).rows) {
+    double ax = 0.0;
+    for (std::size_t i = 0; i < row.support_size; ++i) {
+      ax += result.log_good[row.support[i]];
+    }
+    const double d = row.value * ax - row.y;
+    sum += d * d;
+  }
+  return sum;
+}
+
+/// A long session in small windows: each steady-state window starts from
+/// the factor the previous solve ended with, so the factor is edited
+/// window after window and never rebuilt while the support holds. Any
+/// drift would accumulate here; every 32nd window must still sit on the
+/// optimum of a cold batch solve over the same prefix.
+TEST(StreamingFast, LongSessionCarriedFactorMatchesPrefixBatch) {
+  const Prepared p = prepare("waxman-full", 1024);
+  const graph::CoverageIndex coverage(p.inst.graph, p.inst.paths);
+  StreamingInference inference(p.inst.graph, p.inst.paths,
+                               p.inst.declared_sets, StreamingOptions{});
+  const std::vector<sim::MeasurementBlock> windows =
+      split_windows(p.simr.measurement, 4);
+  ASSERT_GE(windows.size(), 256u);
+  std::size_t carried = 0, checked = 0;
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const WindowEstimate estimate = inference.push_window(windows[k]);
+    if (!estimate.usable) continue;
+    // The factor rides exactly on the Gram-reused windows.
+    EXPECT_EQ(estimate.factor_carried, estimate.gram_reused) << "window " << k;
+    carried += estimate.factor_carried;
+    if (k % 32 != 31) continue;
+    ++checked;
+    const sim::EmpiricalMeasurement prefix(
+        p.simr.measurement.slice(0, estimate.snapshots));
+    const core::InferenceResult batch = core::infer_congestion(
+        p.inst.graph, p.inst.paths, coverage, p.inst.declared_sets, prefix,
+        core::InferenceOptions{});
+    const double streamed_objective = nnls_objective(estimate.inference);
+    const double batch_objective = nnls_objective(batch);
+    EXPECT_NEAR(streamed_objective, batch_objective, 1e-9 * batch_objective)
+        << "window " << k;
+  }
+  EXPECT_EQ(checked, windows.size() / 32);
+  EXPECT_GT(carried, windows.size() / 2)
+      << "the steady state should carry the factor on most windows";
+}
+
+/// The factor is carried exactly when G is bitwise the previous window's:
+/// same support, unweighted. Rebuilding G every window (no Gram reuse)
+/// must not change that, and a variance-weighted stream — whose G moves
+/// with every window's weights — never carries it.
+TEST(StreamingFast, FactorCarriedExactlyWhenSupportUnchanged) {
+  // Two-snapshot windows: the support still moves in the first windows.
+  const Prepared p = prepare("waxman-full");
+  const std::vector<WindowEstimate> rebuilt =
+      streamed_infer(p, 2, 1, /*warm_start=*/true, /*reuse_gram=*/false);
+  std::size_t carried = 0, changed = 0;
+  const core::EquationSystem* prev = nullptr;
+  for (const WindowEstimate& estimate : rebuilt) {
+    if (!estimate.usable) {
+      prev = nullptr;
+      continue;
+    }
+    const core::EquationSystem& system = estimate.inference.system;
+    bool same_support =
+        prev != nullptr && prev->equations.size() == system.equations.size();
+    for (std::size_t i = 0; same_support && i < system.equations.size();
+         ++i) {
+      same_support = prev->equations[i].links == system.equations[i].links;
+    }
+    EXPECT_FALSE(estimate.gram_reused);
+    EXPECT_EQ(estimate.factor_carried, same_support)
+        << "window " << estimate.window;
+    carried += same_support;
+    changed += prev != nullptr && !same_support;
+    prev = &system;
+  }
+  EXPECT_GT(carried, 0u);
+  EXPECT_GT(changed, 0u) << "expected a support change past the first window";
+
+  const std::vector<WindowEstimate> weighted =
+      streamed_infer(p, 2, 1, /*warm_start=*/true, /*reuse_gram=*/true,
+                     /*weighted=*/true);
+  bool any_warm = false;
+  for (const WindowEstimate& estimate : weighted) {
+    any_warm = any_warm || estimate.warm_started;
+    EXPECT_FALSE(estimate.factor_carried) << "window " << estimate.window;
+    EXPECT_FALSE(estimate.gram_reused) << "window " << estimate.window;
+  }
+  EXPECT_TRUE(any_warm);
 }
 
 }  // namespace
