@@ -84,12 +84,14 @@ BENCHMARK(BM_RankTrackerSparseRows)->Arg(64)->Arg(128)->Arg(256);
 //   arg 0 — waxman-bursty at test (shrink) scale, ~260 links
 //   arg 1 — waxman-full at test scale, ~250 links / ~230 paths
 //   arg 2 — waxman-full at full registry scale (~870 paths, ~870 links)
-// The reference engine (fresh dense QR per inner iteration) only runs the
-// shrink scales: at arg 2 one solve takes minutes, which is exactly the
-// regression the incremental engine removed.
+// The reference oracle (linalg::nnls_reference, a fresh dense QR per inner
+// iteration) only runs the shrink scales: at arg 2 one solve takes
+// minutes, which is exactly the regression the incremental engine removed.
 
 struct RegistrySystem {
   core::EquationSystem system;
+  Matrix a;  // dense copy of the system, for the reference engine
+  Vector b;  // -y: the non-negative problem the NNLS engines solve
 };
 
 const RegistrySystem& registry_system(std::int64_t scale) {
@@ -115,13 +117,16 @@ const RegistrySystem& registry_system(std::int64_t scale) {
   RegistrySystem prepared;
   prepared.system =
       core::build_equations(coverage, inst.declared_sets, meas);
-  prepared.system.matrix();  // materialize outside the timed region
+  // Materialize the reference engine's dense input outside the timed region.
+  DenseSystem dense = dense_system(core::sparse_view(prepared.system));
+  prepared.a = std::move(dense.a);
+  for (double y : dense.y) prepared.b.push_back(-y);
   return cache.emplace(scale, std::move(prepared)).first->second;
 }
 
 void BM_NnlsRegistryIncremental(benchmark::State& state) {
   const RegistrySystem& prepared = registry_system(state.range(0));
-  SolverOptions options;  // defaults: nnls, incremental engine
+  SolverOptions options;  // defaults: nnls
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         solve_log_system(core::sparse_view(prepared.system), options));
@@ -135,11 +140,8 @@ BENCHMARK(BM_NnlsRegistryIncremental)
 
 void BM_NnlsRegistryReference(benchmark::State& state) {
   const RegistrySystem& prepared = registry_system(state.range(0));
-  SolverOptions options;
-  options.nnls_mode = NnlsMode::kReference;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_log_system(
-        prepared.system.matrix(), prepared.system.rhs(), options));
+    benchmark::DoNotOptimize(nnls_reference(prepared.a, prepared.b));
   }
 }
 BENCHMARK(BM_NnlsRegistryReference)

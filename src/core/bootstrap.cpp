@@ -95,8 +95,7 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   const linalg::SparseSystemView point_view =
       sparse_view(harvest.system, weight_samples);
   const bool incremental =
-      options.inference.solver.kind == linalg::SolverKind::kNnls &&
-      options.inference.solver.nnls_mode == linalg::NnlsMode::kIncremental;
+      options.inference.solver.kind == linalg::SolverKind::kNnls;
 
   linalg::GramSystem skeleton;
   linalg::LogSystemSolution point_solution;
@@ -224,8 +223,10 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
               sparse_view_with_rhs(harvest.system, ys, weight_samples);
           linalg::LogSystemSolution solution;
           if (weight_samples == 0) {
-            solution =
-                linalg::solve_log_system_reuse(view, scratch, fast_solver);
+            // Same supports, same G: refresh only the rhs products of the
+            // stripe's skeleton copy in place.
+            linalg::refresh_gram_rhs(scratch, view);
+            solution = linalg::solve_log_system(view, scratch, fast_solver);
           } else {
             // Variance weights scale every row by its replicate estimate,
             // so the Gram matrix itself changes; rebuild it — the harvest

@@ -16,7 +16,7 @@
 //    equation harvest runs once on the point estimate, and each replicate
 //    that keeps the harvest's support alive re-estimates only the
 //    right-hand sides and solves on the shared Gram skeleton
-//    (linalg::solve_log_system_reuse + NNLS warm start), falling back to
+//    (linalg::refresh_gram_rhs + NNLS warm start), falling back to
 //    a full re-harvest only when support actually changes. Replicates fan
 //    across the executor on per-replicate seed streams, so intervals are
 //    bit-identical for any `jobs`.

@@ -12,11 +12,10 @@
 namespace tomo::core {
 
 struct InferenceOptions {
-  /// End-to-end solver configuration — kind, NNLS engine (incremental
-  /// Gram/Cholesky vs reference QR), warm start, tolerances —
+  /// End-to-end solver configuration — kind, warm start, tolerances —
   /// threaded down to linalg::solve_log_system. The solve runs on the
-  /// equation system's sparse view: the dense incidence matrix is never
-  /// materialized on this path.
+  /// equation system's sparse view; for NNLS (the default) the dense
+  /// incidence matrix is never materialized.
   linalg::SolverOptions solver;
   EquationBuildOptions equations;
   /// Apply the paper's §3.3 fallback: links flagged unidentifiable by the
@@ -29,9 +28,8 @@ struct InferenceOptions {
   /// as uncorrelated and rebuild, so the previously correlated paths
   /// become usable. Their own estimates inherit the independence
   /// algorithm's bias, but every other link keeps its clean equations —
-  /// exactly the trade-off the paper describes.
+  /// exactly the trade-off the paper describes. At most three rounds run.
   bool demote_uncovered = true;
-  std::size_t max_demotion_rounds = 3;
   /// Weight each equation by the inverse standard deviation of its
   /// estimate (delta method) before solving, so thinly supported
   /// measurements count less. No effect with oracle measurements.
@@ -43,8 +41,8 @@ struct InferenceResult {
   std::vector<double> log_good;         // x_k = log P(X_k = 0)
   EquationSystem system;                // the solved system (diagnostics)
   std::string solver_detail;
-  /// Converged NNLS support (links with non-zero estimate), sorted; filled
-  /// by the incremental engine only. The streaming driver feeds it back as
+  /// Converged NNLS support (links with non-zero estimate), sorted; empty
+  /// from the other solver kinds. The streaming driver feeds it back as
   /// the next window's warm start.
   std::vector<std::size_t> active_set;
   /// Wall seconds spent inside the solver (telemetry; never printed on

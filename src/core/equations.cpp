@@ -17,6 +17,10 @@ namespace tomo::core {
 
 namespace {
 
+/// Seed of the deterministic pair-candidate shuffle, which spreads accepted
+/// pairs across the topology instead of clustering near low link ids.
+constexpr std::uint64_t kPairShuffleSeed = 7;
+
 /// sorted_union into a reused buffer (keeps its capacity across candidates;
 /// a manual merge into pre-sized storage skips back_inserter's per-element
 /// capacity checks on the hot path).
@@ -211,7 +215,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
         }
       }
     }
-    Rng rng(options.shuffle_seed);
+    Rng rng(kPairShuffleSeed);
     rng.shuffle(candidates);
 
     // Only built when the precheck will actually consult it: singleton
@@ -309,23 +313,6 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
   return sys;
 }
 
-void EquationSystem::ensure_dense() const {
-  if (dense_ready_) return;
-  a_ = linalg::Matrix(equations.size(), link_count);
-  y_.resize(equations.size());
-  for (std::size_t i = 0; i < equations.size(); ++i) {
-    for (graph::LinkId e : equations[i].links) {
-      a_(i, e) = 1.0;
-    }
-    y_[i] = equations[i].y;
-  }
-  dense_ready_ = true;
-}
-
-}  // namespace tomo::core
-
-namespace tomo::core {
-
 namespace {
 
 /// Inverse standard deviation of a log-probability estimate over
@@ -339,44 +326,40 @@ double variance_weight(double log_prob, double samples) {
   return 1.0 / std::sqrt(variance);
 }
 
-}  // namespace
-
-void apply_variance_weights(EquationSystem& system, std::size_t samples) {
-  if (samples == 0) return;
-  const double n = static_cast<double>(samples);
-  for (std::size_t i = 0; i < system.equations.size(); ++i) {
-    const double weight = variance_weight(system.equations[i].y, n);
-    // Only the equation's support columns carry the row's 1-entries; the
-    // structural zeros must stay untouched rather than being multiplied
-    // across the whole dense row.
-    for (graph::LinkId e : system.equations[i].links) {
-      system.matrix()(i, e) *= weight;
-    }
-    system.rhs()[i] *= weight;
-  }
-}
-
-linalg::SparseSystemView sparse_view(const EquationSystem& system,
-                                     std::size_t weight_samples) {
+/// The one row builder behind both views: equation i's support with
+/// right-hand side y_of(i), variance-weighted when weight_samples > 0 (a
+/// weight * 1.0 entry on every support column and a weight-scaled rhs).
+template <typename YOf>
+linalg::SparseSystemView build_view(const EquationSystem& system,
+                                    std::size_t weight_samples, YOf y_of) {
   linalg::SparseSystemView view;
   view.cols = system.link_count;
   view.rows.reserve(system.equations.size());
   const double n = static_cast<double>(weight_samples);
-  for (const Equation& eq : system.equations) {
+  for (std::size_t i = 0; i < system.equations.size(); ++i) {
+    const Equation& eq = system.equations[i];
+    const double y = y_of(i);
     linalg::SparseRow row;
     row.support = eq.links.data();
     row.support_size = eq.links.size();
     if (weight_samples > 0) {
-      // Same doubles apply_variance_weights writes into the dense system:
-      // weight * 1.0 entries and a weight-scaled rhs.
-      row.value = variance_weight(eq.y, n);
-      row.y = row.value * eq.y;
+      row.value = variance_weight(y, n);
+      row.y = row.value * y;
     } else {
-      row.y = eq.y;
+      row.y = y;
     }
     view.rows.push_back(row);
   }
   return view;
+}
+
+}  // namespace
+
+linalg::SparseSystemView sparse_view(const EquationSystem& system,
+                                     std::size_t weight_samples) {
+  return build_view(system, weight_samples, [&](std::size_t i) {
+    return system.equations[i].y;
+  });
 }
 
 linalg::SparseSystemView sparse_view_with_rhs(const EquationSystem& system,
@@ -384,24 +367,8 @@ linalg::SparseSystemView sparse_view_with_rhs(const EquationSystem& system,
                                               std::size_t weight_samples) {
   TOMO_REQUIRE(ys.size() == system.equations.size(),
                "sparse_view_with_rhs: rhs count does not match the system");
-  linalg::SparseSystemView view;
-  view.cols = system.link_count;
-  view.rows.reserve(system.equations.size());
-  const double n = static_cast<double>(weight_samples);
-  for (std::size_t i = 0; i < system.equations.size(); ++i) {
-    const Equation& eq = system.equations[i];
-    linalg::SparseRow row;
-    row.support = eq.links.data();
-    row.support_size = eq.links.size();
-    if (weight_samples > 0) {
-      row.value = variance_weight(ys[i], n);
-      row.y = row.value * ys[i];
-    } else {
-      row.y = ys[i];
-    }
-    view.rows.push_back(row);
-  }
-  return view;
+  return build_view(system, weight_samples,
+                    [&](std::size_t i) { return ys[i]; });
 }
 
 }  // namespace tomo::core

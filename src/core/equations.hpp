@@ -28,7 +28,6 @@
 
 #include "corr/correlation.hpp"
 #include "graph/coverage.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/solvers.hpp"
 #include "sim/measurement.hpp"
 
@@ -55,29 +54,6 @@ struct EquationSystem {
   double build_seconds = 0.0;
 
   bool full_rank() const { return rank == link_count; }
-
-  /// Dense solver-facing views of the harvest: the |equations| x |links|
-  /// 0/1 incidence matrix and the right-hand sides. Materialized from
-  /// `equations` on first access and cached — the harvest itself never
-  /// pays for megabytes of structural zeros, and discarded intermediate
-  /// systems (demotion rounds) never materialize at all. The mutable
-  /// overloads exist for in-place reweighting (apply_variance_weights);
-  /// they materialize first, so weighted entries are never rebuilt over.
-  /// NOTE: first access mutates the cache without synchronization, so the
-  /// const overloads are not safe to call concurrently on a shared system
-  /// — materialize once (or give each thread its own copy) before fanning
-  /// out.
-  const linalg::Matrix& matrix() const { ensure_dense(); return a_; }
-  const linalg::Vector& rhs() const { ensure_dense(); return y_; }
-  linalg::Matrix& matrix() { ensure_dense(); return a_; }
-  linalg::Vector& rhs() { ensure_dense(); return y_; }
-
- private:
-  void ensure_dense() const;
-
-  mutable bool dense_ready_ = false;
-  mutable linalg::Matrix a_;
-  mutable linalg::Vector y_;
 };
 
 struct EquationBuildOptions {
@@ -87,9 +63,6 @@ struct EquationBuildOptions {
   std::size_t max_pair_candidates = 0;
   /// Minimum good-snapshot support for an empirical estimate to be usable.
   std::size_t min_good_snapshots = 1;
-  /// Shuffles the pair-candidate order (deterministic); spreads accepted
-  /// pairs across the topology instead of clustering near low link ids.
-  std::uint64_t shuffle_seed = 7;
   /// When true (default), every usable equation the correlation structure
   /// admits is kept, including linearly dependent ones — the solver then
   /// fits all available measurements (what [12] effectively does). When
@@ -116,18 +89,15 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
                                const sim::MeasurementProvider& measurement,
                                const EquationBuildOptions& options = {});
 
-/// Scales each equation by the inverse standard deviation of its estimate:
-/// by the delta method, Var(log p-hat) ~= (1 - p) / (p * N) for a binomial
-/// proportion over N snapshots. Well-supported equations then count more
-/// in the (least-squares-family) solve. No-op when `samples` == 0 (oracle
-/// measurements are exact).
-void apply_variance_weights(EquationSystem& system, std::size_t samples);
-
-/// Solver-facing sparse view of the harvest: one row per equation,
-/// borrowing the equations' link storage (the view must not outlive
-/// `system`). With `weight_samples` > 0 each row carries the same
-/// inverse-stddev variance weight apply_variance_weights would install —
-/// but applied inside the view, so the dense matrix never materializes.
+/// Solver-facing view of the harvest — the one form in which it reaches a
+/// solver: one row per equation, borrowing the equations' link storage
+/// (the view must not outlive `system`). With `weight_samples` > 0 each
+/// row is scaled by the inverse standard deviation of its estimate: by the
+/// delta method, Var(log p-hat) ~= (1 - p) / (p * N) for a binomial
+/// proportion over N = weight_samples snapshots, so well-supported
+/// equations count more in the (least-squares-family) solve. Leave it 0
+/// for oracle measurements, which are exact. linalg::dense_system of the
+/// view is the dense matrix, for the tests and benchmarks that need one.
 linalg::SparseSystemView sparse_view(const EquationSystem& system,
                                      std::size_t weight_samples = 0);
 

@@ -18,6 +18,10 @@ namespace {
 /// columns an inline warm-up would.
 constexpr double kSeedRelTol = 1e-12;
 
+std::size_t resolve_iteration_cap(std::size_t requested, std::size_t cols) {
+  return requested == 0 ? 3 * cols + 10 : requested;
+}
+
 /// Least squares restricted to the columns in `passive` (solution entries
 /// for other columns are zero).
 Vector restricted_least_squares(const Matrix& a, const Vector& b,
@@ -36,12 +40,13 @@ Vector restricted_least_squares(const Matrix& a, const Vector& b,
   return full;
 }
 
-/// The historical Lawson-Hanson loop: fresh rank-revealing QR on the
-/// passive submatrix every inner iteration. Kept verbatim as the
-/// differential-testing baseline.
+}  // namespace
+
 NnlsResult nnls_reference(const Matrix& a, const Vector& b,
                           std::size_t max_iterations, double tol) {
+  TOMO_REQUIRE(b.size() == a.rows(), "nnls_reference: rhs length mismatch");
   const std::size_t n = a.cols();
+  max_iterations = resolve_iteration_cap(max_iterations, n);
 
   NnlsResult result;
   result.x.assign(n, 0.0);
@@ -117,6 +122,8 @@ NnlsResult nnls_reference(const Matrix& a, const Vector& b,
   result.residual_norm = norm2(residual(a, result.x, b));
   return result;
 }
+
+namespace {
 
 /// Incremental Lawson-Hanson on a cached Gram system: the passive-set
 /// normal-equations factor is edited in place (O(k^2) per change) instead
@@ -437,10 +444,6 @@ class IncrementalNnls {
   std::vector<std::uint32_t> nz_index_;  // nonzero columns, row by row
 };
 
-std::size_t resolve_iteration_cap(std::size_t requested, std::size_t cols) {
-  return requested == 0 ? 3 * cols + 10 : requested;
-}
-
 }  // namespace
 
 NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
@@ -491,27 +494,10 @@ GramSystem make_gram(const Matrix& a, const Vector& b) {
 
 NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
   TOMO_REQUIRE(b.size() == a.rows(), "nnls: rhs length mismatch");
-  const std::size_t cap =
-      resolve_iteration_cap(options.max_iterations, a.cols());
-  if (options.mode == NnlsMode::kReference) {
-    return nnls_reference(a, b, cap, options.tol);
-  }
-  NnlsOptions resolved = options;
-  resolved.max_iterations = cap;
-  return nnls_gram(make_gram(a, b), resolved);
-}
-
-NnlsResult nnls(const Matrix& a, const Vector& b, std::size_t max_iterations,
-                double tol) {
-  NnlsOptions options;
-  options.max_iterations = max_iterations;
-  options.tol = tol;
-  return nnls(a, b, options);
+  return nnls_gram(make_gram(a, b), options);
 }
 
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
-  TOMO_REQUIRE(options.mode == NnlsMode::kIncremental,
-               "nnls_gram: the reference engine needs the dense matrix");
   TOMO_REQUIRE(system.gram.rows() == system.gram.cols(),
                "nnls_gram: gram matrix must be square");
   TOMO_REQUIRE(system.atb.size() == system.gram.cols(),

@@ -6,19 +6,18 @@
 // constraint and yields sparse minimum-ish solutions, which is the effect
 // the paper's "minimize the L1 norm error" fallback is after.
 //
-// Two interchangeable engines share the active-set logic:
-//   kIncremental (default) — works on the normal equations of a
-//     once-per-solve Gram system (G = A^T A, c = A^T b): every inner
-//     iteration edits an UpdatableCholesky factor of the passive block
-//     G[P, P] in O(k^2) and triangular-solves, instead of re-running an
-//     m x k QR from scratch. Numerically dependent passive candidates are
-//     rejected at insert time (with a condition-triggered refactorize
-//     fallback), and columns dropped by a degenerate zero-length step are
-//     blocked from immediate re-entry until the iterate moves —
-//     the anti-cycling safeguard.
-//   kReference — the historical implementation (fresh rank-revealing QR on
-//     the passive submatrix per iteration); kept for differential testing
-//     (tests/test_nnls_fast.cpp) and as the bit-for-bit baseline.
+// The engine works on the normal equations of a once-per-solve Gram
+// system (G = A^T A, c = A^T b): every inner iteration edits an
+// UpdatableCholesky factor of the passive block G[P, P] in O(k^2) and
+// triangular-solves, instead of re-running an m x k QR from scratch.
+// Numerically dependent passive candidates are rejected at insert time
+// (with a condition-triggered refactorize fallback), and columns dropped by
+// a degenerate zero-length step are blocked from immediate re-entry until
+// the iterate moves — the anti-cycling safeguard.
+//
+// The historical implementation (fresh rank-revealing QR on the passive
+// submatrix per iteration) survives as nnls_reference, a test oracle that
+// no option selects (tests/test_nnls_fast.cpp pins the engine against it).
 #pragma once
 
 #include <cstddef>
@@ -28,11 +27,6 @@
 #include "linalg/updatable_cholesky.hpp"
 
 namespace tomo::linalg {
-
-enum class NnlsMode {
-  kIncremental,  // cached Gram + updatable Cholesky (default)
-  kReference,    // fresh dense QR per inner iteration
-};
 
 /// The measurement-independent half of a warm start: a Cholesky factor of
 /// G[P, P] and the columns P it covers, in factor order. It depends only
@@ -63,21 +57,19 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
                                 const std::vector<std::size_t>& warm);
 
 struct NnlsOptions {
-  NnlsMode mode = NnlsMode::kIncremental;
   /// 0 means the 3 * cols + 10 default, which is ample in practice.
   std::size_t max_iterations = 0;
   /// Gradient/positivity tolerance of the active-set logic.
   double tol = 1e-10;
-  /// Warm start (incremental engine only): columns seeded into the passive
+  /// Warm start: columns seeded into the passive
   /// set before the active-set loop runs — typically the previous window's
   /// converged support in a streaming solve. Out-of-range, duplicate, or
   /// numerically dependent entries are dropped, and seeded columns whose
   /// restricted solution is infeasible are removed before iteration, so a
   /// stale or perturbed set is always safe: the result is the same optimum
-  /// a cold solve reaches, just via fewer iterations. The reference engine
-  /// ignores it.
+  /// a cold solve reaches, just via fewer iterations.
   std::vector<std::size_t> warm_start;
-  /// Optional pre-factored seed (incremental engine only). Must have been
+  /// Optional pre-factored seed. Must have been
   /// built by seed_warm_factor, or handed back in NnlsResult::factor, for
   /// a GramSystem with the *same* gram matrix as the one being solved (the
   /// rhs may differ). When set it replaces the warm_start admission loop —
@@ -91,19 +83,17 @@ struct NnlsResult {
   double residual_norm = 0.0;  // ||A x - b||_2
   std::size_t iterations = 0;
   bool converged = false;  // false if the iteration cap was hit
-  /// Full refactorizations of the passive-set factor (incremental mode
-  /// only): > 0 means the condition-triggered fallback fired.
+  /// Full refactorizations of the passive-set factor: > 0 means the
+  /// condition-triggered fallback fired (always 0 from nnls_reference).
   std::size_t refactorizations = 0;
   /// The converged passive set (columns with x > 0), sorted ascending.
-  /// Filled by the incremental engine — feed it back through
-  /// NnlsOptions::warm_start to seed the next related solve. The reference
-  /// engine leaves it empty.
+  /// Feed it back through NnlsOptions::warm_start to seed the next related
+  /// solve. Empty from nnls_reference.
   std::vector<std::size_t> active_set;
-  /// The factor of G[P, P] the incremental engine ended with, P its final
+  /// The factor of G[P, P] the solve ended with, P its final
   /// passive set in factor order (moved out, not copied). Pass it back
   /// through NnlsOptions::warm_factor to start a solve against the same G
-  /// from this support with no factor appends. Empty from the reference
-  /// engine.
+  /// from this support with no factor appends. Empty from nnls_reference.
   NnlsWarmFactor factor;
 };
 
@@ -119,16 +109,20 @@ struct GramSystem {
 /// Builds the Gram system of a dense problem (one pass over A).
 GramSystem make_gram(const Matrix& a, const Vector& b);
 
-/// Solves min ||A x - b||_2 subject to x >= 0.
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options);
-
-/// Backward-compatible overload: default (incremental) engine.
+/// Solves min ||A x - b||_2 subject to x >= 0 (via make_gram + nnls_gram).
 NnlsResult nnls(const Matrix& a, const Vector& b,
-                std::size_t max_iterations = 0, double tol = 1e-10);
+                const NnlsOptions& options = {});
 
-/// Incremental engine entry point for callers that already hold the Gram
-/// system (the sparse solver front end builds it without ever
-/// materializing A). `options.mode` must be kIncremental.
+/// Entry point for callers that already hold the Gram system (the sparse
+/// solver front end builds it without ever materializing A).
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options = {});
+
+/// The test oracle: the historical Lawson-Hanson loop, a fresh
+/// rank-revealing QR on the passive submatrix every inner iteration. Same
+/// problem, iteration-cap default (0 = 3 * cols + 10) and tolerance as
+/// nnls, different arithmetic; O(m k^2) per iteration, so only test-sized
+/// systems. No warm start; active_set and factor stay empty.
+NnlsResult nnls_reference(const Matrix& a, const Vector& b,
+                          std::size_t max_iterations = 0, double tol = 1e-10);
 
 }  // namespace tomo::linalg

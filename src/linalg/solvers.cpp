@@ -32,9 +32,10 @@ std::string to_string(SolverKind kind) {
 
 namespace {
 
-void require_finite(const Vector& y) {
-  for (double v : y) {
-    TOMO_REQUIRE(std::isfinite(v), "solve_log_system: non-finite rhs entry");
+void require_finite(const SparseSystemView& system) {
+  for (const SparseRow& row : system.rows) {
+    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
+                 "solve_log_system: non-finite rhs entry");
   }
 }
 
@@ -50,13 +51,9 @@ LogSystemSolution finish(Vector u, std::ostringstream& detail) {
   return out;
 }
 
-void describe_nnls(std::ostringstream& detail, const NnlsResult& r,
-                   NnlsMode mode) {
-  detail << "nnls[" << (mode == NnlsMode::kIncremental ? "inc" : "ref")
-         << "] iters=" << r.iterations;
-  if (mode == NnlsMode::kIncremental) {
-    detail << " refactor=" << r.refactorizations;
-  }
+void describe_nnls(std::ostringstream& detail, const NnlsResult& r) {
+  detail << "nnls[inc] iters=" << r.iterations
+         << " refactor=" << r.refactorizations;
   if (!r.converged) detail << " (iteration cap)";
 }
 
@@ -154,52 +151,17 @@ GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs) {
   return gs;
 }
 
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   const SolverOptions& options) {
-  TOMO_REQUIRE(y.size() == a.rows(), "solve_log_system: rhs length mismatch");
-  require_finite(y);
-
-  // u = -x >= 0, b = -y >= 0.
-  Vector b(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) b[i] = -y[i];
-
-  std::ostringstream detail;
-  Vector u;
-
-  switch (options.kind) {
-    case SolverKind::kLeastSquares: {
-      u = least_squares(a, b);
-      detail << "qr-ls";
-      break;
+DenseSystem dense_system(const SparseSystemView& system) {
+  DenseSystem out{Matrix(system.rows.size(), system.cols),
+                  Vector(system.rows.size())};
+  for (std::size_t r = 0; r < system.rows.size(); ++r) {
+    const SparseRow& row = system.rows[r];
+    double* dense = out.a.row_data(r);
+    for (std::size_t k = 0; k < row.support_size; ++k) {
+      dense[row.support[k]] = row.value;
     }
-    case SolverKind::kNnls: {
-      NnlsOptions nnls_options;
-      nnls_options.mode = options.nnls_mode;
-      nnls_options.max_iterations = options.max_iterations;
-      nnls_options.tol = options.tol;
-      NnlsResult r = nnls(a, b, nnls_options);
-      describe_nnls(detail, r, options.nnls_mode);
-      u = std::move(r.x);
-      break;
-    }
-    case SolverKind::kL1Lp: {
-      L1Result r = l1_regression(a, b);
-      u = std::move(r.x);
-      detail << "l1lp obj=" << r.objective
-             << (r.optimal ? "" : " (not proven optimal)");
-      break;
-    }
-    case SolverKind::kIrls: {
-      IrlsResult r = irls_l1(a, b);
-      u = std::move(r.x);
-      detail << "irls iters=" << r.iterations
-             << (r.converged ? "" : " (iteration cap)");
-      break;
-    }
+    out.y[r] = row.y;
   }
-
-  LogSystemSolution out = finish(std::move(u), detail);
-  out.residual_norm2 = norm2(residual(a, out.x, y));
   return out;
 }
 
@@ -219,12 +181,42 @@ double sparse_residual_norm(const SparseSystemView& system, const Vector& x) {
   return std::sqrt(norm);
 }
 
-/// The shared incremental-NNLS tail of the two sparse entry points: solve
-/// on the (caller- or locally-built) Gram system, clamp, recover the
-/// residual from the rows.
-LogSystemSolution solve_sparse_incremental(const SparseSystemView& system,
-                                           const GramSystem& gs,
-                                           const SolverOptions& options) {
+/// The row-oriented kinds (ls, l1lp, irls) on the dense copy of the view.
+LogSystemSolution solve_dense(const SparseSystemView& system,
+                              SolverKind kind) {
+  const DenseSystem d = dense_system(system);
+  // u = -x >= 0, b = -y >= 0.
+  Vector b(d.y.size());
+  for (std::size_t i = 0; i < d.y.size(); ++i) b[i] = -d.y[i];
+
+  std::ostringstream detail;
+  Vector u;
+  if (kind == SolverKind::kLeastSquares) {
+    u = least_squares(d.a, b);
+    detail << "qr-ls";
+  } else if (kind == SolverKind::kL1Lp) {
+    L1Result r = l1_regression(d.a, b);
+    u = std::move(r.x);
+    detail << "l1lp obj=" << r.objective
+           << (r.optimal ? "" : " (not proven optimal)");
+  } else {
+    TOMO_ASSERT(kind == SolverKind::kIrls);
+    IrlsResult r = irls_l1(d.a, b);
+    u = std::move(r.x);
+    detail << "irls iters=" << r.iterations
+           << (r.converged ? "" : " (iteration cap)");
+  }
+
+  LogSystemSolution out = finish(std::move(u), detail);
+  out.residual_norm2 = norm2(residual(d.a, out.x, d.y));
+  return out;
+}
+
+/// The NNLS tail of the two entry points: solve on the (caller- or
+/// locally-built) Gram system, clamp, recover the residual from the rows.
+LogSystemSolution solve_gram(const SparseSystemView& system,
+                             const GramSystem& gs,
+                             const SolverOptions& options) {
   NnlsOptions nnls_options;
   nnls_options.max_iterations = options.max_iterations;
   nnls_options.tol = options.tol;
@@ -232,7 +224,7 @@ LogSystemSolution solve_sparse_incremental(const SparseSystemView& system,
   nnls_options.warm_factor = options.nnls_warm_factor;
   NnlsResult r = nnls_gram(gs, nnls_options);
   std::ostringstream detail;
-  describe_nnls(detail, r, NnlsMode::kIncremental);
+  describe_nnls(detail, r);
   if (options.nnls_warm_factor != nullptr) {
     detail << " warm=" << options.nnls_warm_factor->passive.size();
   } else if (!options.warm_start.empty()) {
@@ -249,61 +241,27 @@ LogSystemSolution solve_sparse_incremental(const SparseSystemView& system,
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options) {
-  for (const SparseRow& row : system.rows) {
-    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
-                 "solve_log_system: non-finite rhs entry");
+  require_finite(system);
+  if (options.kind != SolverKind::kNnls) {
+    return solve_dense(system, options.kind);
   }
-
-  if (options.kind == SolverKind::kNnls &&
-      options.nnls_mode == NnlsMode::kIncremental) {
-    // The headline path: Gram products straight from the sparse support;
-    // the dense incidence matrix never exists.
-    GramSystem gs;
-    accumulate_gram(gs, system);
-    return solve_sparse_incremental(system, gs, options);
-  }
-  // The remaining kinds are row-oriented; materialize a dense copy.
-  Matrix a(system.rows.size(), system.cols);
-  Vector y(system.rows.size());
-  for (std::size_t r = 0; r < system.rows.size(); ++r) {
-    const SparseRow& row = system.rows[r];
-    double* dense = a.row_data(r);
-    for (std::size_t k = 0; k < row.support_size; ++k) {
-      dense[row.support[k]] = row.value;
-    }
-    y[r] = row.y;
-  }
-  return solve_log_system(a, y, options);
+  // The headline path: Gram products straight from the sparse support;
+  // the dense incidence matrix never exists.
+  GramSystem gs;
+  accumulate_gram(gs, system);
+  return solve_gram(system, gs, options);
 }
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const GramSystem& gs,
                                    const SolverOptions& options) {
-  TOMO_REQUIRE(options.kind == SolverKind::kNnls &&
-                   options.nnls_mode == NnlsMode::kIncremental,
-               "solve_log_system(gram): only the incremental NNLS engine "
-               "consumes a caller-held Gram system");
+  TOMO_REQUIRE(options.kind == SolverKind::kNnls,
+               "solve_log_system(gram): only NNLS consumes a caller-held "
+               "Gram system");
   TOMO_REQUIRE(gs.gram.cols() == system.cols,
                "solve_log_system(gram): gram shape does not match the view");
-  for (const SparseRow& row : system.rows) {
-    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
-                 "solve_log_system: non-finite rhs entry");
-  }
-  return solve_sparse_incremental(system, gs, options);
-}
-
-LogSystemSolution solve_log_system_reuse(const SparseSystemView& system,
-                                         GramSystem& gs,
-                                         const SolverOptions& options) {
-  refresh_gram_rhs(gs, system);
-  return solve_log_system(system, gs, options);
-}
-
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   SolverKind kind) {
-  SolverOptions options;
-  options.kind = kind;
-  return solve_log_system(a, y, options);
+  require_finite(system);
+  return solve_gram(system, gs, options);
 }
 
 }  // namespace tomo::linalg

@@ -8,14 +8,13 @@
 // Internally we substitute u = -x >= 0 and b = -y >= 0 so every solver
 // works on a non-negative problem.
 //
-// Two entry points share the same solver set:
-//   - the dense overload, for callers that already hold a Matrix;
-//   - the sparse overload over a SparseSystemView, which never
-//     materializes the dense matrix at all for the (default) incremental
-//     NNLS engine — the Gram products G = A^T A and c = A^T b are
-//     accumulated straight from the per-row support, fanned across the
-//     executor column-by-column. Entry sums always run in row order, so
-//     the solution is bit-identical for any parallel width.
+// A SparseSystemView is the one form in which a system reaches a solver.
+// For NNLS (the default) the dense matrix never exists: the Gram products
+// G = A^T A and c = A^T b are accumulated straight from the per-row
+// support, fanned across the executor column-by-column. Entry sums always
+// run in row order, so the solution is bit-identical for any parallel
+// width. The row-oriented kinds (ls, l1lp, irls) solve on dense_system's
+// copy of the view.
 #pragma once
 
 #include <cstddef>
@@ -42,17 +41,14 @@ std::string to_string(SolverKind kind);
 /// core::InferenceOptions down to the engine.
 struct SolverOptions {
   SolverKind kind = SolverKind::kNnls;
-  /// NNLS engine: incremental Gram/Cholesky (default) or the historical
-  /// per-iteration dense QR, kept for differential testing.
-  NnlsMode nnls_mode = NnlsMode::kIncremental;
   /// Iteration cap for the iterative engines (0 = their defaults).
   std::size_t max_iterations = 0;
   /// Active-set / convergence tolerance for NNLS.
   double tol = 1e-10;
-  /// Warm start for the incremental NNLS engine: column indices seeded
-  /// into the passive set (normally the previous window's active_set in a
-  /// streaming solve). Ignored by every other kind/engine; safe to leave
-  /// stale — see NnlsOptions::warm_start.
+  /// Warm start for NNLS: column indices seeded into the passive set
+  /// (normally the previous window's active_set in a streaming solve).
+  /// Ignored by every other kind; safe to leave stale — see
+  /// NnlsOptions::warm_start.
   std::vector<std::size_t> warm_start;
   /// Pre-factored warm seed for solves sharing one Gram matrix: the
   /// batched bootstrap's seed_warm_factor (bit-identical to the warm_start
@@ -79,34 +75,36 @@ struct SparseSystemView {
   std::vector<SparseRow> rows;
 };
 
+/// Dense copy of a view: `a` is rows x cols with each row's value on its
+/// support and zero elsewhere; `y` the right-hand sides.
+struct DenseSystem {
+  Matrix a;
+  Vector y;
+};
+
+/// Materializes `system` densely — for the row-oriented solver kinds, and
+/// for tests and benchmarks that need the matrix itself.
+DenseSystem dense_system(const SparseSystemView& system);
+
 struct LogSystemSolution {
   Vector x;               // log P(link good), entries <= 0
   double residual_norm2;  // ||A x - y||_2 over the given equations
   std::string detail;     // solver-specific notes (iterations, status)
-  /// Converged NNLS support (incremental engine only), sorted ascending —
-  /// the warm-start seed for the next window of a streaming solve.
+  /// Converged NNLS support, sorted ascending (empty from the other
+  /// kinds) — the warm-start seed for the next window of a streaming solve.
   std::vector<std::size_t> active_set;
   /// The passive-set factor the incremental NNLS solve ended with (see
-  /// NnlsResult::factor); empty from every other kind/engine.
+  /// NnlsResult::factor); empty from every other kind.
   NnlsWarmFactor nnls_factor;
 };
 
-/// Solves A x = y with x <= 0 using the requested solver. `y` entries must
-/// be finite and <= 0 (equations with unusable measurements should have
-/// been dropped by the caller).
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   const SolverOptions& options);
-
-/// Sparse entry point: for NNLS in incremental mode the Gram system is
-/// built directly from the row support (across the executor) and the
-/// dense matrix never exists; the other solver kinds materialize a dense
-/// copy internally and delegate.
+/// Solves A x = y with x <= 0 using the requested solver. Row y entries
+/// must be finite and <= 0 (equations with unusable measurements should
+/// have been dropped by the caller). For NNLS the Gram system is built
+/// directly from the row support (across the executor); the other kinds
+/// solve on dense_system(system).
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options = {});
-
-/// Backward-compatible dense overload (default options of the given kind).
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   SolverKind kind = SolverKind::kNnls);
 
 /// Builds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
 /// system A u = -y straight from the sparse rows, fanning columns across
@@ -131,23 +129,13 @@ void accumulate_gram(GramSystem& gs, const SparseSystemView& system);
 /// sums as a full build.
 void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system);
 
-/// Solves with a caller-held Gram system of `system` (incremental NNLS
-/// only — options.kind/nnls_mode must select it). The sparse view is still
-/// needed for the residual; `gs` must match its rows (e.g. built via
-/// accumulate_gram over the same equations).
+/// Solves with a caller-held Gram system of `system` (NNLS only —
+/// options.kind must select it). The sparse view is still needed for the
+/// residual; `gs` must match its rows (e.g. built via accumulate_gram over
+/// the same equations, or refreshed by refresh_gram_rhs when only the
+/// right-hand sides changed).
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const GramSystem& gs,
                                    const SolverOptions& options);
-
-/// Shared-skeleton replicated solve: refreshes only the rhs products of
-/// `gs` in place (its G = A^T A must already match `system`'s support —
-/// same rows, same order, same values) and solves. The batched bootstrap's
-/// per-replicate entry point: hundreds of resampled systems share one Gram
-/// skeleton, each paying O(nnz) for the rhs instead of O(nnz * k) for a
-/// full rebuild. Bitwise equal to a cold sparse solve of `system` when
-/// options.warm_start is empty.
-LogSystemSolution solve_log_system_reuse(const SparseSystemView& system,
-                                         GramSystem& gs,
-                                         const SolverOptions& options);
 
 }  // namespace tomo::linalg

@@ -1,5 +1,6 @@
 #include "linalg/updatable_cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -42,45 +43,35 @@ bool UpdatableCholesky::append(const Vector& cross, double diag,
 void UpdatableCholesky::remove(std::size_t position) {
   TOMO_REQUIRE(position < size_, "updatable cholesky: remove out of range");
 
-  // Drop row `position`; the trailing rows shift up one slot and keep their
-  // old column count, leaving a lower-Hessenberg tail to re-triangularize.
-  // Work on an unpacked copy of those rows for index clarity (k is small).
-  const std::size_t tail = size_ - position - 1;
-  std::vector<Vector> rows(tail);
-  for (std::size_t i = 0; i < tail; ++i) {
-    rows[i].resize(position + i + 2);
-    for (std::size_t c = 0; c <= position + i + 1; ++c) {
-      rows[i][c] = at(position + i + 1, c);
-    }
-  }
-  // Givens rotations from the right: rotation j mixes columns j and j + 1,
-  // zeroing rows[j - position][j + 1] against its diagonal.
-  for (std::size_t j = position; j < position + tail; ++j) {
-    const std::size_t r = j - position;
-    const double a = rows[r][j];
-    const double b = rows[r][j + 1];
-    // b is the deleted-shift row's original diagonal (sqrt of a positive
-    // Schur complement, untouched by the earlier rotations, which only
-    // reach columns <= j), so the rotation is always well defined and the
-    // new diagonal radius = hypot(a, b) stays positive.
+  // Dropping row `position` leaves the trailing rows one entry longer than
+  // their new slots: a lower-Hessenberg tail, re-triangularized in place by
+  // Givens rotations from the right. Rotation j mixes columns j and j + 1
+  // of every row below j, zeroing row j + 1's column j + 1 against its
+  // column j.
+  for (std::size_t j = position; j + 1 < size_; ++j) {
+    const double a = at(j + 1, j);
+    const double b = at(j + 1, j + 1);
+    // b is row j + 1's original diagonal (sqrt of a positive Schur
+    // complement, untouched by the earlier rotations, which only reach
+    // columns <= j), so the rotation is always well defined and the new
+    // diagonal radius = hypot(a, b) stays positive.
     const double radius = std::hypot(a, b);
     TOMO_ASSERT(radius > 0.0);
     const double c = a / radius;
     const double s = b / radius;
-    for (std::size_t i = r; i < tail; ++i) {
-      const double u = rows[i][j];
-      const double v = rows[i][j + 1];
-      rows[i][j] = c * u + s * v;
-      rows[i][j + 1] = c * v - s * u;
+    for (std::size_t r = j + 1; r < size_; ++r) {
+      const double u = at(r, j);
+      const double v = at(r, j + 1);
+      at(r, j) = c * u + s * v;
+      at(r, j + 1) = c * v - s * u;
     }
   }
-  // Repack: rows before `position` are untouched; each tail row drops its
-  // (now zero) final entry.
-  for (std::size_t i = 0; i < tail; ++i) {
-    const std::size_t r = position + i;
-    for (std::size_t c = 0; c <= r; ++c) {
-      at(r, c) = rows[i][c];
-    }
+  // Shift each trailing row r up into row r - 1's slot, dropping its (now
+  // zero) last entry. Packed row r - 1 ends where row r starts, so the
+  // ascending copy only overwrites rows it has already moved.
+  for (std::size_t r = position + 1; r < size_; ++r) {
+    std::copy_n(l_.begin() + static_cast<std::ptrdiff_t>(r * (r + 1) / 2), r,
+                l_.begin() + static_cast<std::ptrdiff_t>(r * (r - 1) / 2));
   }
   --size_;
   l_.resize(size_ * (size_ + 1) / 2);

@@ -19,9 +19,7 @@ StreamingInference::StreamingInference(const graph::Graph& g,
       measurement_(paths.size()) {}
 
 bool StreamingInference::incremental_solver() const {
-  const linalg::SolverOptions& solver = options_.inference.solver;
-  return solver.kind == linalg::SolverKind::kNnls &&
-         solver.nnls_mode == linalg::NnlsMode::kIncremental;
+  return options_.inference.solver.kind == linalg::SolverKind::kNnls;
 }
 
 bool StreamingInference::support_unchanged(

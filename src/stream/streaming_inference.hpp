@@ -48,7 +48,7 @@ struct StreamingOptions {
   /// Shared with the batch path (solver, harvest, refinement knobs).
   core::InferenceOptions inference;
   /// Seed each window's NNLS from the previous window's converged active
-  /// set (incremental engine only; the first window is always cold).
+  /// set (NNLS only; the first window is always cold).
   bool warm_start = true;
   /// Reuse the cached G = AᵀA when the harvested support is unchanged
   /// (unweighted solves only — variance weights change every row value).
@@ -99,7 +99,7 @@ class StreamingInference {
   graph::CoverageIndex coverage_;
   StreamingMeasurement measurement_;
 
-  // Inter-window caches (incremental NNLS only).
+  // Inter-window caches (NNLS only).
   linalg::GramSystem gram_;
   bool gram_valid_ = false;
   std::vector<std::vector<graph::LinkId>> gram_support_;

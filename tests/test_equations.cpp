@@ -41,9 +41,10 @@ TEST(Equations, RightHandSidesAreLogProbabilities) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
   const EquationSystem eq = build_equations(cov, sys.sets, oracle);
+  const linalg::DenseSystem dense = linalg::dense_system(sparse_view(eq));
   // y1 = log P(P1 good) = log(P(e1 good) P(e3 good)).
-  EXPECT_NEAR(eq.rhs()[0], std::log(0.70 * 0.85), 1e-12);
-  for (double y : eq.rhs()) {
+  EXPECT_NEAR(dense.y[0], std::log(0.70 * 0.85), 1e-12);
+  for (double y : dense.y) {
     EXPECT_LE(y, 0.0);
   }
 }
@@ -116,14 +117,15 @@ TEST(Equations, MatrixMatchesEquationSupports) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
   const EquationSystem eq = build_equations(cov, sys.sets, oracle);
-  ASSERT_EQ(eq.matrix().rows(), eq.equations.size());
+  const linalg::DenseSystem dense = linalg::dense_system(sparse_view(eq));
+  ASSERT_EQ(dense.a.rows(), eq.equations.size());
   for (std::size_t i = 0; i < eq.equations.size(); ++i) {
     for (graph::LinkId e = 0; e < 4; ++e) {
       const bool in_support =
           std::find(eq.equations[i].links.begin(),
                     eq.equations[i].links.end(),
                     e) != eq.equations[i].links.end();
-      EXPECT_DOUBLE_EQ(eq.matrix()(i, e), in_support ? 1.0 : 0.0);
+      EXPECT_DOUBLE_EQ(dense.a(i, e), in_support ? 1.0 : 0.0);
     }
   }
 }
@@ -140,9 +142,10 @@ TEST(Equations, EquationsAreConsistentWithTruth) {
   for (graph::LinkId e = 0; e < 4; ++e) {
     x_true[e] = std::log(model->prob_all_good({e}));
   }
-  const linalg::Vector lhs = eq.matrix().multiply(x_true);
-  for (std::size_t i = 0; i < eq.rhs().size(); ++i) {
-    EXPECT_NEAR(lhs[i], eq.rhs()[i], 1e-10) << "equation " << i;
+  const linalg::DenseSystem dense = linalg::dense_system(sparse_view(eq));
+  const linalg::Vector lhs = dense.a.multiply(x_true);
+  for (std::size_t i = 0; i < dense.y.size(); ++i) {
+    EXPECT_NEAR(lhs[i], dense.y[i], 1e-10) << "equation " << i;
   }
 }
 

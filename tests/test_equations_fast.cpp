@@ -66,16 +66,18 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
   EXPECT_EQ(a.dropped_unusable, b.dropped_unusable) << what;
   EXPECT_EQ(a.dropped_dependent, b.dropped_dependent) << what;
   EXPECT_EQ(a.pair_candidates_tried, b.pair_candidates_tried) << what;
-  // The lazily materialized dense views must agree cell for cell.
-  ASSERT_EQ(a.matrix().rows(), b.matrix().rows()) << what;
-  ASSERT_EQ(a.matrix().cols(), b.matrix().cols()) << what;
-  for (std::size_t r = 0; r < a.matrix().rows(); ++r) {
-    for (std::size_t c = 0; c < a.matrix().cols(); ++c) {
-      ASSERT_EQ(a.matrix()(r, c), b.matrix()(r, c))
+  // The dense solver inputs must agree cell for cell.
+  const linalg::DenseSystem da = linalg::dense_system(sparse_view(a));
+  const linalg::DenseSystem db = linalg::dense_system(sparse_view(b));
+  ASSERT_EQ(da.a.rows(), db.a.rows()) << what;
+  ASSERT_EQ(da.a.cols(), db.a.cols()) << what;
+  for (std::size_t r = 0; r < da.a.rows(); ++r) {
+    for (std::size_t c = 0; c < da.a.cols(); ++c) {
+      ASSERT_EQ(da.a(r, c), db.a(r, c))
           << what << ": cell (" << r << "," << c << ")";
     }
   }
-  EXPECT_EQ(a.rhs(), b.rhs()) << what;
+  EXPECT_EQ(da.y, db.y) << what;
 }
 
 /// Reference build: scalar measurement path, no signature precheck, inline

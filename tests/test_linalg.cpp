@@ -321,6 +321,57 @@ TEST(UpdatableCholesky, RemoveMatchesFactorOfSubmatrix) {
   }
 }
 
+TEST(UpdatableCholesky, InterleavedEditsMatchFreshFactor) {
+  // The NNLS loop alternates appends and removes on one factor: remove at
+  // the front, in the middle and at the end, then append after the
+  // removes, and the edited factor must still solve like a fresh factor
+  // of the same columns in the same order.
+  Rng rng(13);
+  const std::size_t n = 11;
+  const Matrix g = random_spd(n, rng);
+  std::vector<std::size_t> order;  // factored columns, factor order
+  const auto append = [&](UpdatableCholesky& chol,
+                          std::vector<std::size_t>& cols, std::size_t j) {
+    Vector cross(cols.size());
+    for (std::size_t i = 0; i < cols.size(); ++i) cross[i] = g(cols[i], j);
+    ASSERT_TRUE(chol.append(cross, g(j, j)));
+    cols.push_back(j);
+  };
+  const auto remove = [&](UpdatableCholesky& chol, std::size_t position) {
+    chol.remove(position);
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(position));
+  };
+
+  UpdatableCholesky edited;
+  for (std::size_t j = 0; j < 7; ++j) append(edited, order, j);
+  remove(edited, 0);
+  remove(edited, order.size() / 2);
+  remove(edited, order.size() - 1);
+  for (std::size_t j = 7; j < n; ++j) append(edited, order, j);
+  remove(edited, 1);
+  append(edited, order, 0);
+  ASSERT_EQ(edited.size(), order.size());
+
+  UpdatableCholesky fresh;
+  std::vector<std::size_t> fresh_order;
+  for (std::size_t j : order) append(fresh, fresh_order, j);
+  Matrix sub(order.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      sub(i, j) = g(order[i], order[j]);
+    }
+  }
+  Vector rhs(order.size());
+  for (auto& v : rhs) v = rng.uniform(-2, 2);
+  const Vector from_edits = edited.solve(rhs);
+  const Vector from_fresh = fresh.solve(rhs);
+  const Vector direct = CholeskyDecomposition(sub).solve(rhs);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_NEAR(from_edits[i], from_fresh[i], 1e-9) << "position " << i;
+    EXPECT_NEAR(from_edits[i], direct[i], 1e-9) << "position " << i;
+  }
+}
+
 TEST(UpdatableCholesky, RejectsDependentColumnWithoutMutating) {
   UpdatableCholesky chol;
   ASSERT_TRUE(chol.append({}, 4.0));
@@ -340,10 +391,8 @@ TEST(Nnls, ModesAgreeOnDuplicateColumns) {
   // produce the same fit.
   Matrix a{{1, 1, 0}, {1, 1, 0}, {0, 0, 1}};
   const Vector b{3, 3, 4};
-  NnlsOptions reference;
-  reference.mode = NnlsMode::kReference;
-  const NnlsResult ref = nnls(a, b, reference);
-  const NnlsResult inc = nnls(a, b, NnlsOptions{});
+  const NnlsResult ref = nnls_reference(a, b);
+  const NnlsResult inc = nnls(a, b);
   ASSERT_TRUE(ref.converged);
   ASSERT_TRUE(inc.converged);
   EXPECT_NEAR(ref.residual_norm, 0.0, 1e-9);
@@ -364,7 +413,7 @@ TEST(Nnls, NearCollinearColumnHitsRefactorizeFallback) {
   // fallback double-checks), block the column, and still converge.
   Matrix a{{2, 1}, {0, 1e-7}};
   const Vector b{1, 10};
-  const NnlsResult inc = nnls(a, b, NnlsOptions{});
+  const NnlsResult inc = nnls(a, b);
   ASSERT_TRUE(inc.converged);
   EXPECT_GE(inc.refactorizations, 1u);
   for (double v : inc.x) {
@@ -372,19 +421,14 @@ TEST(Nnls, NearCollinearColumnHitsRefactorizeFallback) {
     EXPECT_GE(v, 0.0);
   }
   // The blocked sliver column costs at most its own mass in fit quality.
-  NnlsOptions reference;
-  reference.mode = NnlsMode::kReference;
-  const NnlsResult ref = nnls(a, b, reference);
+  const NnlsResult ref = nnls_reference(a, b);
   EXPECT_NEAR(inc.residual_norm, ref.residual_norm, 1e-3);
 }
 
 TEST(Nnls, ZeroRhsConvergesToZeroInBothModes) {
   Matrix a{{1, 0}, {0, 1}, {1, 1}};
   const Vector b{0, 0, 0};
-  for (const NnlsMode mode : {NnlsMode::kIncremental, NnlsMode::kReference}) {
-    NnlsOptions options;
-    options.mode = mode;
-    const NnlsResult r = nnls(a, b, options);
+  for (const NnlsResult& r : {nnls(a, b), nnls_reference(a, b)}) {
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.x, Vector({0.0, 0.0}));
     EXPECT_DOUBLE_EQ(r.residual_norm, 0.0);
@@ -399,11 +443,10 @@ TEST(Nnls, IterationCapReportsNotConverged) {
     for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.uniform(0, 1);
     b[i] = rng.uniform(0, 1);
   }
-  for (const NnlsMode mode : {NnlsMode::kIncremental, NnlsMode::kReference}) {
-    NnlsOptions options;
-    options.mode = mode;
-    options.max_iterations = 1;
-    const NnlsResult r = nnls(a, b, options);
+  NnlsOptions capped;
+  capped.max_iterations = 1;
+  for (const NnlsResult& r :
+       {nnls(a, b, capped), nnls_reference(a, b, /*max_iterations=*/1)}) {
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.iterations, 1u);
     for (double v : r.x) {
@@ -437,9 +480,7 @@ TEST(Nnls, IncrementalSatisfiesKktOnRandomProblems) {
         EXPECT_LE(grad[j], 1e-6);
       }
     }
-    NnlsOptions reference;
-    reference.mode = NnlsMode::kReference;
-    const NnlsResult ref = nnls(a, b, reference);
+    const NnlsResult ref = nnls_reference(a, b);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_NEAR(r.x[j], ref.x[j], 1e-8) << "trial " << trial;
     }
@@ -529,6 +570,34 @@ TEST(Irls, ConsistentSystemExact) {
 
 // ------------------------------------------------------------ solvers ----
 
+/// Sparse rows with owned index storage: the view borrows `supports`.
+struct OwnedSparseSystem {
+  std::vector<std::vector<std::size_t>> supports;
+  SparseSystemView view;
+};
+
+/// The unweighted 0/1 incidence system with the given row supports.
+OwnedSparseSystem incidence_system(std::vector<std::vector<std::size_t>> rows,
+                                   std::size_t cols, const Vector& y) {
+  OwnedSparseSystem out;
+  out.supports = std::move(rows);
+  out.view.cols = cols;
+  for (std::size_t i = 0; i < out.supports.size(); ++i) {
+    SparseRow row;
+    row.support = out.supports[i].data();
+    row.support_size = out.supports[i].size();
+    row.y = y[i];
+    out.view.rows.push_back(row);
+  }
+  return out;
+}
+
+SolverOptions options_of(SolverKind kind) {
+  SolverOptions options;
+  options.kind = kind;
+  return options;
+}
+
 TEST(Solvers, KindParsingRoundTrip) {
   for (const auto kind :
        {SolverKind::kLeastSquares, SolverKind::kNnls, SolverKind::kL1Lp,
@@ -541,12 +610,12 @@ TEST(Solvers, KindParsingRoundTrip) {
 TEST(Solvers, AllKindsSolveConsistentLogSystem) {
   // x = (log 0.9, log 0.8, log 0.7); equations: x0+x1, x1+x2, x0+x2.
   const double x0 = std::log(0.9), x1 = std::log(0.8), x2 = std::log(0.7);
-  Matrix a{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}};
-  const Vector y{x0 + x1, x1 + x2, x0 + x2};
+  const OwnedSparseSystem sys = incidence_system(
+      {{0, 1}, {1, 2}, {0, 2}}, 3, {x0 + x1, x1 + x2, x0 + x2});
   for (const auto kind :
        {SolverKind::kLeastSquares, SolverKind::kNnls, SolverKind::kL1Lp,
         SolverKind::kIrls}) {
-    const LogSystemSolution s = solve_log_system(a, y, kind);
+    const LogSystemSolution s = solve_log_system(sys.view, options_of(kind));
     EXPECT_NEAR(s.x[0], x0, 1e-5) << to_string(kind);
     EXPECT_NEAR(s.x[1], x1, 1e-5) << to_string(kind);
     EXPECT_NEAR(s.x[2], x2, 1e-5) << to_string(kind);
@@ -555,13 +624,14 @@ TEST(Solvers, AllKindsSolveConsistentLogSystem) {
 
 TEST(Solvers, SolutionsAreAlwaysNonPositive) {
   // Inconsistent noisy system: whatever the solver does, x must stay <= 0
-  // (they are log-probabilities).
-  Matrix a{{1, 0}, {0, 1}, {1, 1}};
-  const Vector y{0.5, -0.1, -0.2};  // note the positive (infeasible) entry
+  // (they are log-probabilities). Note the positive (infeasible) first rhs
+  // entry.
+  const OwnedSparseSystem sys =
+      incidence_system({{0}, {1}, {0, 1}}, 2, {0.5, -0.1, -0.2});
   for (const auto kind :
        {SolverKind::kLeastSquares, SolverKind::kNnls, SolverKind::kL1Lp,
         SolverKind::kIrls}) {
-    const LogSystemSolution s = solve_log_system(a, y, kind);
+    const LogSystemSolution s = solve_log_system(sys.view, options_of(kind));
     for (double v : s.x) {
       EXPECT_LE(v, 0.0) << to_string(kind);
     }
@@ -569,21 +639,17 @@ TEST(Solvers, SolutionsAreAlwaysNonPositive) {
 }
 
 TEST(Solvers, RejectsNonFiniteRhs) {
-  Matrix a{{1}};
-  EXPECT_THROW(
-      solve_log_system(a, {std::numeric_limits<double>::quiet_NaN()}),
-      Error);
+  const OwnedSparseSystem sys =
+      incidence_system({{0}}, 1, {std::numeric_limits<double>::quiet_NaN()});
+  for (const auto kind : {SolverKind::kNnls, SolverKind::kLeastSquares}) {
+    EXPECT_THROW(solve_log_system(sys.view, options_of(kind)), Error);
+  }
 }
 
 // -------------------------------------------- windowed Gram pipeline ----
 
 /// A random 0/1-support sparse system with owned index storage (what the
 /// core equation harvest hands the solver, minus the harvest).
-struct OwnedSparseSystem {
-  std::vector<std::vector<std::size_t>> supports;
-  SparseSystemView view;
-};
-
 OwnedSparseSystem random_sparse_system(std::size_t rows, std::size_t cols,
                                        std::uint64_t seed) {
   OwnedSparseSystem out;

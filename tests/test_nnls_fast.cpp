@@ -1,8 +1,8 @@
 // Differential suite for the incremental NNLS solve path.
 //
 // The solver was rebuilt around a once-per-solve Gram system and an
-// updatable Cholesky factor (linalg::nnls, NnlsMode::kIncremental); the
-// historical per-iteration dense QR survives as NnlsMode::kReference.
+// updatable Cholesky factor (linalg::nnls); the historical per-iteration
+// dense QR survives as the test oracle linalg::nnls_reference.
 // These tests pin the two engines against each other on every registry
 // scenario's real equation system: the converged active sets must be
 // identical and the solutions must agree to tight relative tolerance —
@@ -63,18 +63,31 @@ std::vector<std::size_t> active_set(const linalg::Vector& x) {
   return out;
 }
 
+/// The QR oracle on a dense system, mapped back to solve_log_system's log
+/// domain: x = -max(0, u) for the NNLS solution u of A u = -y.
+linalg::LogSystemSolution reference_solve(const linalg::DenseSystem& dense) {
+  linalg::Vector b(dense.y.size());
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -dense.y[i];
+  const linalg::NnlsResult r = linalg::nnls_reference(dense.a, b);
+  linalg::LogSystemSolution out;
+  out.x.resize(r.x.size());
+  for (std::size_t j = 0; j < r.x.size(); ++j) {
+    out.x[j] = -std::max(0.0, r.x[j]);
+  }
+  out.residual_norm2 = r.residual_norm;
+  return out;
+}
+
 /// Incremental (sparse Gram pipeline, jobs 1 and 3) vs reference (dense
 /// per-iteration QR) on one harvested system.
 void expect_engines_agree(const EquationSystem& sys,
                           const std::string& what) {
   ASSERT_FALSE(sys.equations.empty()) << what;
 
-  linalg::SolverOptions reference;
-  reference.nnls_mode = linalg::NnlsMode::kReference;
   const linalg::LogSystemSolution ref =
-      linalg::solve_log_system(sys.matrix(), sys.rhs(), reference);
+      reference_solve(linalg::dense_system(sparse_view(sys)));
 
-  linalg::SolverOptions incremental;  // defaults: nnls, incremental
+  linalg::SolverOptions incremental;  // defaults: nnls
   const util::ScopedWidth width1(1);
   const linalg::LogSystemSolution inc =
       linalg::solve_log_system(sparse_view(sys), incremental);
@@ -130,26 +143,37 @@ TEST(NnlsFast, WeightedSparseViewMatchesDenseWeighting) {
   PreparedSystem p = prepare(config, 0x3e100);
   const std::size_t samples = 300;
 
-  // The sparse view's per-row weights must be the same doubles
-  // apply_variance_weights installs into the dense system.
-  EquationSystem weighted = p.correlation;
-  apply_variance_weights(weighted, samples);
+  // Oracle: scale each row of the dense unweighted system by the inverse
+  // standard deviation of its estimate, Var(log p-hat) ~= (1 - p) / (p N)
+  // with one pseudo-count guarding p == 1, touching only the support.
+  linalg::DenseSystem weighted =
+      linalg::dense_system(sparse_view(p.correlation));
+  const double n = static_cast<double>(samples);
+  for (std::size_t i = 0; i < weighted.y.size(); ++i) {
+    const double prob = std::exp(p.correlation.equations[i].y);
+    const double variance =
+        std::max((1.0 - prob) / (prob * n), 1.0 / (n * n));
+    const double weight = 1.0 / std::sqrt(variance);
+    for (graph::LinkId e : p.correlation.equations[i].links) {
+      weighted.a(i, e) *= weight;
+    }
+    weighted.y[i] *= weight;
+  }
+
+  // The sparse view's per-row weights must be the same doubles.
   const linalg::SparseSystemView view = sparse_view(p.correlation, samples);
-  ASSERT_EQ(view.rows.size(), weighted.equations.size());
+  ASSERT_EQ(view.rows.size(), p.correlation.equations.size());
   for (std::size_t i = 0; i < view.rows.size(); ++i) {
-    const auto& links = weighted.equations[i].links;
+    const auto& links = p.correlation.equations[i].links;
     ASSERT_EQ(view.rows[i].support_size, links.size());
     for (std::size_t k = 0; k < links.size(); ++k) {
-      EXPECT_EQ(view.rows[i].value, weighted.matrix()(i, links[k]));
+      EXPECT_EQ(view.rows[i].value, weighted.a(i, links[k]));
     }
-    EXPECT_EQ(view.rows[i].y, weighted.rhs()[i]);
+    EXPECT_EQ(view.rows[i].y, weighted.y[i]);
   }
 
   // And the engines agree on the weighted system too.
-  linalg::SolverOptions reference;
-  reference.nnls_mode = linalg::NnlsMode::kReference;
-  const linalg::LogSystemSolution ref =
-      linalg::solve_log_system(weighted.matrix(), weighted.rhs(), reference);
+  const linalg::LogSystemSolution ref = reference_solve(weighted);
   const linalg::LogSystemSolution inc = linalg::solve_log_system(view);
   EXPECT_EQ(active_set(inc.x), active_set(ref.x));
   double scale = 1.0;
@@ -167,9 +191,10 @@ TEST(NnlsFast, SparseGramMatchesDenseGramBitwise) {
   const EquationSystem& sys = p.correlation;
 
   // Dense reference: Gram of the negated system (b = -y).
-  linalg::Vector b(sys.rhs().size());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -sys.rhs()[i];
-  const linalg::GramSystem dense = linalg::make_gram(sys.matrix(), b);
+  const linalg::DenseSystem copy = linalg::dense_system(sparse_view(sys));
+  linalg::Vector b(copy.y.size());
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -copy.y[i];
+  const linalg::GramSystem dense = linalg::make_gram(copy.a, b);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     const linalg::GramSystem sparse =

@@ -76,9 +76,11 @@ TEST_P(SeedSweep, EquationsHoldForTrueLogProbabilities) {
   for (graph::LinkId e = 0; e < x_true.size(); ++e) {
     x_true[e] = std::log(inst.truth->prob_all_good({e}));
   }
-  const linalg::Vector lhs = eq.matrix().multiply(x_true);
-  for (std::size_t i = 0; i < eq.rhs().size(); ++i) {
-    ASSERT_NEAR(lhs[i], eq.rhs()[i], 1e-9) << "equation " << i;
+  const linalg::DenseSystem dense =
+      linalg::dense_system(core::sparse_view(eq));
+  const linalg::Vector lhs = dense.a.multiply(x_true);
+  for (std::size_t i = 0; i < dense.y.size(); ++i) {
+    ASSERT_NEAR(lhs[i], dense.y[i], 1e-9) << "equation " << i;
   }
 }
 
@@ -90,9 +92,10 @@ TEST_P(SeedSweep, AcceptedEquationsAreLinearlyIndependent) {
   opts.include_redundant = false;  // the minimal §4 system
   const core::EquationSystem eq =
       core::build_equations(cov, inst.sets, oracle, opts);
-  ASSERT_GT(eq.matrix().rows(), 0u);
-  EXPECT_EQ(linalg::QrDecomposition(eq.matrix().transposed()).rank(), eq.matrix().rows());
-  EXPECT_EQ(eq.rank, eq.matrix().rows());
+  const linalg::Matrix a = linalg::dense_system(core::sparse_view(eq)).a;
+  ASSERT_GT(a.rows(), 0u);
+  EXPECT_EQ(linalg::QrDecomposition(a.transposed()).rank(), a.rows());
+  EXPECT_EQ(eq.rank, a.rows());
   EXPECT_LE(eq.rank, inst.graph.link_count());
 }
 

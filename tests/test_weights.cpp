@@ -25,42 +25,48 @@ EquationSystem build_fig1a_system() {
   return build_equations(cov, sys.sets, oracle);
 }
 
+/// The dense matrix and rhs the solver sees for `sys`, weighted over
+/// `samples` snapshots (0 = unweighted).
+linalg::DenseSystem solver_input(const EquationSystem& sys,
+                                 std::size_t samples = 0) {
+  return linalg::dense_system(sparse_view(sys, samples));
+}
+
 TEST(VarianceWeights, OracleSystemsAreLeftAlone) {
-  EquationSystem sys = build_fig1a_system();
-  const linalg::Vector y_before = sys.rhs();
-  apply_variance_weights(sys, /*samples=*/0);
-  EXPECT_EQ(sys.rhs(), y_before);
+  const EquationSystem sys = build_fig1a_system();
+  linalg::Vector y_before;
+  for (const Equation& eq : sys.equations) y_before.push_back(eq.y);
+  EXPECT_EQ(solver_input(sys, /*samples=*/0).y, y_before);
 }
 
 TEST(VarianceWeights, ScalesRowsAndRhsTogether) {
-  EquationSystem sys = build_fig1a_system();
-  const EquationSystem original = sys;
-  apply_variance_weights(sys, 1000);
-  for (std::size_t i = 0; i < sys.rhs().size(); ++i) {
+  const EquationSystem eq = build_fig1a_system();
+  const linalg::DenseSystem original = solver_input(eq);
+  const linalg::DenseSystem sys = solver_input(eq, 1000);
+  for (std::size_t i = 0; i < sys.y.size(); ++i) {
     // Rows and rhs must be scaled by the same factor: the solution of a
     // consistent system is unchanged.
     double factor = 0.0;
-    for (std::size_t c = 0; c < sys.matrix().cols(); ++c) {
-      if (original.matrix()(i, c) != 0.0) {
-        factor = sys.matrix()(i, c) / original.matrix()(i, c);
+    for (std::size_t c = 0; c < sys.a.cols(); ++c) {
+      if (original.a(i, c) != 0.0) {
+        factor = sys.a(i, c) / original.a(i, c);
         break;
       }
     }
     ASSERT_GT(factor, 0.0);
-    EXPECT_NEAR(sys.rhs()[i], original.rhs()[i] * factor, 1e-12);
+    EXPECT_NEAR(sys.y[i], original.y[i] * factor, 1e-12);
   }
 }
 
 TEST(VarianceWeights, WellSupportedEquationsWeighMore) {
   // prob 0.9 (well supported) vs prob 0.1 (thin): the 0.9 equation's
-  // variance (1-p)/(pN) is smaller, so its weight is larger. The dense
-  // view materializes from the sparse equations on first access.
+  // variance (1-p)/(pN) is smaller, so its weight is larger.
   EquationSystem sys;
   sys.link_count = 2;
   sys.equations.push_back(Equation{{0}, {0}, std::log(0.9)});
   sys.equations.push_back(Equation{{1}, {1}, std::log(0.1)});
-  apply_variance_weights(sys, 1000);
-  EXPECT_GT(sys.matrix()(0, 0), sys.matrix()(1, 1));
+  const linalg::DenseSystem weighted = solver_input(sys, 1000);
+  EXPECT_GT(weighted.a(0, 0), weighted.a(1, 1));
 }
 
 TEST(VarianceWeights, StructuralZerosStayExactlyZero) {
@@ -69,21 +75,21 @@ TEST(VarianceWeights, StructuralZerosStayExactlyZero) {
   // to preserve zeros (0 * w == 0) but walked |equations| x |links| cells.
   // Pin the support-only contract: off-support entries are exact zeros and
   // support entries carry exactly the row's weight.
-  EquationSystem sys = build_fig1a_system();
-  const EquationSystem original = sys;
-  apply_variance_weights(sys, 500);
-  for (std::size_t i = 0; i < sys.equations.size(); ++i) {
-    const double weight = sys.rhs()[i] / original.rhs()[i];
-    for (std::size_t c = 0; c < sys.matrix().cols(); ++c) {
+  const EquationSystem eq = build_fig1a_system();
+  const linalg::DenseSystem original = solver_input(eq);
+  const linalg::DenseSystem sys = solver_input(eq, 500);
+  for (std::size_t i = 0; i < eq.equations.size(); ++i) {
+    const double weight = sys.y[i] / original.y[i];
+    for (std::size_t c = 0; c < sys.a.cols(); ++c) {
       const bool in_support =
-          std::find(sys.equations[i].links.begin(),
-                    sys.equations[i].links.end(),
-                    c) != sys.equations[i].links.end();
+          std::find(eq.equations[i].links.begin(),
+                    eq.equations[i].links.end(),
+                    c) != eq.equations[i].links.end();
       if (in_support) {
-        EXPECT_DOUBLE_EQ(sys.matrix()(i, c), weight)
+        EXPECT_DOUBLE_EQ(sys.a(i, c), weight)
             << "equation " << i << " column " << c;
       } else {
-        EXPECT_EQ(sys.matrix()(i, c), 0.0)
+        EXPECT_EQ(sys.a(i, c), 0.0)
             << "equation " << i << " column " << c;
       }
     }
@@ -96,10 +102,10 @@ TEST(VarianceWeights, ConsistentSolutionUnchanged) {
   auto model = figure_1a_model(sys.sets);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
-  EquationSystem eq = build_equations(cov, sys.sets, oracle);
-  const auto unweighted = linalg::solve_log_system(eq.matrix(), eq.rhs());
-  apply_variance_weights(eq, 5000);  // pretend 5000 snapshots
-  const auto weighted = linalg::solve_log_system(eq.matrix(), eq.rhs());
+  const EquationSystem eq = build_equations(cov, sys.sets, oracle);
+  const auto unweighted = linalg::solve_log_system(sparse_view(eq));
+  // Pretend 5000 snapshots.
+  const auto weighted = linalg::solve_log_system(sparse_view(eq, 5000));
   for (std::size_t k = 0; k < unweighted.x.size(); ++k) {
     EXPECT_NEAR(weighted.x[k], unweighted.x[k], 1e-6);
   }
