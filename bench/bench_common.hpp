@@ -44,9 +44,8 @@ struct Settings {
   /// binary's built-in workload.
   std::string scenario;
   /// Simulator packet mode (sim::parse_packet_mode names). "batched" is
-  /// the block-parallel engine; "batched-ref" its scalar differential
-  /// reference; "binomial"/"per-packet"/"exact" the legacy per-snapshot
-  /// engines.
+  /// the block-parallel engine; "binomial"/"exact" the legacy
+  /// per-snapshot engines.
   std::string sim_mode = "batched";
 };
 
@@ -77,8 +76,7 @@ inline void add_common_flags(Flags& flags) {
                    "binary's swept knob still applies)");
   flags.add_string("sim-mode", defaults.sim_mode,
                    "simulator packet mode: batched (block-parallel, "
-                   "default), batched-ref (scalar reference), binomial, "
-                   "per-packet, exact");
+                   "default), binomial, exact");
 }
 
 inline Settings settings_from_flags(const Flags& flags) {

@@ -10,12 +10,10 @@
 //
 // With --scenario the binary instead benchmarks the full-pipeline
 // bootstrap (core::bootstrap_congestion) on the named registry entry:
-// batched vs reference engine at matched seeds, intervals on stdout and
-// wall-time/speedup telemetry in the JSON.
+// interval summary on stdout, wall-time telemetry in the JSON.
 #include <array>
 #include <cmath>
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/bootstrap.hpp"
@@ -133,8 +131,7 @@ struct McTrial {
   std::array<double, kAlphaCount> ci_hi{};
 };
 
-/// Mean upper-lower interval width across links (stdout-safe: fully
-/// deterministic for either engine).
+/// Mean upper-lower interval width across links.
 double mean_ci_width(const core::BootstrapResult& r) {
   double sum = 0.0;
   for (std::size_t e = 0; e < r.lower.size(); ++e) {
@@ -144,19 +141,11 @@ double mean_ci_width(const core::BootstrapResult& r) {
 }
 
 /// --scenario mode: full-pipeline bootstrap benchmark on a registry entry.
-/// One simulation, then the batched and/or reference engines on the same
-/// measurement block at matched seeds. Wall times and the speedup go to
-/// the JSON metrics only — stdout is byte-identical for any --jobs, which
-/// the CI identity check relies on.
+/// One simulation, then one timed bootstrap of its measurement block. The
+/// wall times go to the JSON metrics only — stdout is byte-identical for
+/// any --jobs, which the CI identity check relies on.
 void scenario_bootstrap(bench::Run& run, const bench::Settings& s,
-                        std::size_t replicates,
-                        const std::string& mode_arg) {
-  const bool run_batched = mode_arg == "batched" || mode_arg == "both";
-  const bool run_reference = mode_arg == "reference" || mode_arg == "both";
-  TOMO_REQUIRE(run_batched || run_reference,
-               "unknown --bootstrap-mode: " + mode_arg +
-                   " (expected batched|reference|both)");
-
+                        std::size_t replicates) {
   core::TrialSpec spec = bench::resolve_trial_spec(
       s, core::ScenarioCatalog::instance().at(s.scenario), 0x5ce0);
   spec.bootstrap.replicates = replicates;
@@ -173,72 +162,34 @@ void scenario_bootstrap(bench::Run& run, const bench::Settings& s,
             << "' — " << replicates << " replicates x "
             << inst.graph.link_count() << " links, "
             << sim_config.snapshots << " snapshots\n";
-  Table table(
-      {"engine", "replicates", "skipped", "reharvested", "mean_ci_width"});
-  const auto run_engine = [&](core::BootstrapMode mode, double& seconds) {
-    core::BootstrapOptions boot = spec.bootstrap_for(ctx);
-    boot.mode = mode;
-    const Stopwatch timer;
-    core::BootstrapResult r =
-        core::bootstrap_congestion(inst.graph, inst.paths, cov,
-                                   inst.declared_sets, simr.measurement,
-                                   boot);
-    seconds = timer.seconds();
-    table.add_row({core::to_string(mode), std::to_string(r.replicates),
-                   std::to_string(r.skipped), std::to_string(r.reharvested),
-                   Table::fmt(mean_ci_width(r), 6)});
-    return r;
-  };
 
   {
     // Untimed warm-up (page cache, allocator arenas, branch predictors):
-    // a short discarded run so neither timed engine pays the process cold
-    // start. Stdout is untouched.
+    // a short discarded run so the timed run does not pay the process
+    // cold start. Stdout is untouched.
     core::BootstrapOptions boot = spec.bootstrap_for(ctx);
-    boot.mode = core::BootstrapMode::kBatched;
     boot.replicates = std::max<std::size_t>(2, std::min<std::size_t>(
                                                    replicates, 16));
     core::bootstrap_congestion(inst.graph, inst.paths, cov,
                                inst.declared_sets, simr.measurement, boot);
   }
 
-  std::optional<core::BootstrapResult> batched, reference;
-  double batched_seconds = 0.0, reference_seconds = 0.0;
-  if (run_batched) batched = run_engine(core::BootstrapMode::kBatched,
-                                        batched_seconds);
-  if (run_reference) reference = run_engine(core::BootstrapMode::kReference,
-                                            reference_seconds);
-  run.table("scenario bootstrap", table);
+  const Stopwatch timer;
+  const core::BootstrapResult r = core::bootstrap_congestion(
+      inst.graph, inst.paths, cov, inst.declared_sets, simr.measurement,
+      spec.bootstrap_for(ctx));
+  const double seconds = timer.seconds();
 
-  if (batched) {
-    run.metric("bootstrap_batched_seconds", batched_seconds)
-        .metric("bootstrap_batched_resample_seconds",
-                batched->resample_seconds)
-        .metric("bootstrap_skipped",
-                static_cast<double>(batched->skipped))
-        .metric("bootstrap_reharvested",
-                static_cast<double>(batched->reharvested));
-  }
-  if (reference) {
-    run.metric("bootstrap_reference_seconds", reference_seconds)
-        .metric("bootstrap_reference_resample_seconds",
-                reference->resample_seconds);
-  }
-  if (batched && reference) {
-    run.metric("bootstrap_speedup",
-               batched_seconds > 0.0 ? reference_seconds / batched_seconds
-                                     : 0.0);
-    // Interval agreement between the engines (exact with warm_start off;
-    // solver-tolerance-close with the default warm start).
-    double max_diff = 0.0;
-    for (std::size_t e = 0; e < batched->lower.size(); ++e) {
-      max_diff = std::max(max_diff,
-                          std::abs(batched->lower[e] - reference->lower[e]));
-      max_diff = std::max(max_diff,
-                          std::abs(batched->upper[e] - reference->upper[e]));
-    }
-    run.metric("bootstrap_max_interval_diff", max_diff);
-  }
+  Table table(
+      {"engine", "replicates", "skipped", "reharvested", "mean_ci_width"});
+  table.add_row({"batched", std::to_string(r.replicates),
+                 std::to_string(r.skipped), std::to_string(r.reharvested),
+                 Table::fmt(mean_ci_width(r), 6)});
+  run.table("scenario bootstrap", table);
+  run.metric("bootstrap_batched_seconds", seconds)
+      .metric("bootstrap_batched_resample_seconds", r.resample_seconds)
+      .metric("bootstrap_skipped", static_cast<double>(r.skipped))
+      .metric("bootstrap_reharvested", static_cast<double>(r.reharvested));
 }
 
 }  // namespace
@@ -248,10 +199,8 @@ int main(int argc, char** argv) {
               "Fig 1 / §3.1-3.2: coverage tables and congestion factors");
   bench::add_common_flags(flags);
   flags.add_int("replicates", 1000,
-                "bootstrap resamples per trial for the alpha CIs (and per "
-                "engine in --scenario mode)");
-  flags.add_string("bootstrap-mode", "both",
-                   "--scenario mode engines to run: batched|reference|both");
+                "bootstrap resamples per trial for the alpha CIs (and in "
+                "--scenario mode)");
   if (!flags.parse(argc, argv)) return 0;
   const bench::Settings s = bench::settings_from_flags(flags);
   const std::size_t replicates =
@@ -262,8 +211,7 @@ int main(int argc, char** argv) {
     // Registry mode: the toys below describe two fixed four-node
     // topologies, so a --scenario invocation benchmarks the full-pipeline
     // bootstrap on the named entry instead.
-    scenario_bootstrap(run, s, replicates,
-                       flags.get_string("bootstrap-mode"));
+    scenario_bootstrap(run, s, replicates);
     run.finish();
     return 0;
   }

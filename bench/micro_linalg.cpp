@@ -77,25 +77,16 @@ void BM_RankTrackerSparseRows(benchmark::State& state) {
 }
 BENCHMARK(BM_RankTrackerSparseRows)->Arg(64)->Arg(128)->Arg(256);
 
-// ---- NNLS engines on real registry equation systems ---------------------
+// ---- NNLS on real registry equation systems -----------------------------
 //
-// The solve is the inference hot path at mesh scale, so the engine
-// comparison runs on harvested systems, not synthetic dense ones:
+// The solve is the inference hot path at mesh scale, so it is timed on
+// harvested systems, not synthetic dense ones:
 //   arg 0 — waxman-bursty at test (shrink) scale, ~260 links
 //   arg 1 — waxman-full at test scale, ~250 links / ~230 paths
 //   arg 2 — waxman-full at full registry scale (~870 paths, ~870 links)
-// The reference oracle (linalg::nnls_reference, a fresh dense QR per inner
-// iteration) only runs the shrink scales: at arg 2 one solve takes
-// minutes, which is exactly the regression the incremental engine removed.
 
-struct RegistrySystem {
-  core::EquationSystem system;
-  Matrix a;  // dense copy of the system, for the reference engine
-  Vector b;  // -y: the non-negative problem the NNLS engines solve
-};
-
-const RegistrySystem& registry_system(std::int64_t scale) {
-  static std::map<std::int64_t, RegistrySystem> cache;
+const core::EquationSystem& registry_system(std::int64_t scale) {
+  static std::map<std::int64_t, core::EquationSystem> cache;
   const auto it = cache.find(scale);
   if (it != cache.end()) return it->second;
 
@@ -114,39 +105,24 @@ const RegistrySystem& registry_system(std::int64_t scale) {
   sc.seed = 0xbe7c00;
   auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
   const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
-  RegistrySystem prepared;
-  prepared.system =
-      core::build_equations(coverage, inst.declared_sets, meas);
-  // Materialize the reference engine's dense input outside the timed region.
-  DenseSystem dense = dense_system(core::sparse_view(prepared.system));
-  prepared.a = std::move(dense.a);
-  for (double y : dense.y) prepared.b.push_back(-y);
-  return cache.emplace(scale, std::move(prepared)).first->second;
+  return cache
+      .emplace(scale,
+               core::build_equations(coverage, inst.declared_sets, meas))
+      .first->second;
 }
 
 void BM_NnlsRegistryIncremental(benchmark::State& state) {
-  const RegistrySystem& prepared = registry_system(state.range(0));
+  const core::EquationSystem& system = registry_system(state.range(0));
   SolverOptions options;  // defaults: nnls
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_log_system(core::sparse_view(prepared.system), options));
+        solve_log_system(core::sparse_view(system), options));
   }
 }
 BENCHMARK(BM_NnlsRegistryIncremental)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NnlsRegistryReference(benchmark::State& state) {
-  const RegistrySystem& prepared = registry_system(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nnls_reference(prepared.a, prepared.b));
-  }
-}
-BENCHMARK(BM_NnlsRegistryReference)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_L1Regression(benchmark::State& state) {

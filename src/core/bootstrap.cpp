@@ -16,25 +16,8 @@ constexpr std::uint64_t kReplicateTag = 0xb007ULL;
 
 }  // namespace
 
-BootstrapMode bootstrap_mode_from_string(const std::string& name) {
-  if (name == "batched") return BootstrapMode::kBatched;
-  if (name == "reference") return BootstrapMode::kReference;
-  throw Error("unknown bootstrap mode: " + name +
-              " (expected batched|reference)");
-}
-
-std::string to_string(BootstrapMode mode) {
-  return mode == BootstrapMode::kBatched ? "batched" : "reference";
-}
-
 Rng replicate_rng(std::uint64_t seed, std::size_t replicate) {
   return Rng(mix_seed(seed, kReplicateTag + replicate));
-}
-
-std::vector<std::uint32_t> draw_picks(std::size_t snapshot_count, Rng& rng) {
-  std::vector<std::uint32_t> picks;
-  draw_picks_into(snapshot_count, rng, picks);
-  return picks;
 }
 
 void draw_picks_into(std::size_t snapshot_count, Rng& rng,
@@ -43,26 +26,6 @@ void draw_picks_into(std::size_t snapshot_count, Rng& rng,
   for (std::size_t i = 0; i < snapshot_count; ++i) {
     picks[i] = static_cast<std::uint32_t>(rng.below(snapshot_count));
   }
-}
-
-sim::MeasurementBlock resample_snapshots(const sim::MeasurementBlock& block,
-                                         Rng& rng) {
-  const std::size_t n = block.snapshot_count;
-  sim::MeasurementBlock out =
-      sim::MeasurementBlock::all_good(block.path_count, n);
-  std::vector<std::size_t> picks(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    picks[i] = static_cast<std::size_t>(rng.below(n));
-  }
-  for (sim::PathId p = 0; p < block.path_count; ++p) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!block.good(p, picks[i])) {
-        out.set_congested(p, i);
-      }
-    }
-  }
-  out.recount();
-  return out;
 }
 
 BootstrapResult bootstrap_congestion(const graph::Graph& g,
@@ -101,8 +64,8 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   linalg::LogSystemSolution point_solution;
   if (incremental) {
     // accumulate_gram over the whole view is bitwise equal to the batch
-    // build inside solve_log_system, so this point estimate matches the
-    // reference engine's exactly.
+    // build inside solve_log_system, so this point estimate is exactly
+    // infer_congestion's.
     linalg::accumulate_gram(skeleton, point_view);
     point_solution = linalg::solve_log_system(point_view, skeleton,
                                               options.inference.solver);
@@ -119,163 +82,145 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   std::vector<std::vector<double>> estimates(options.replicates);
   std::vector<std::uint8_t> fell_back(options.replicates, 0);
 
-  if (options.mode == BootstrapMode::kReference) {
-    // Historical serial baseline: per-bit resample, full re-inference.
-    for (std::size_t r = 0; r < options.replicates; ++r) {
-      Rng rng = replicate_rng(options.seed, r);
-      Stopwatch resample_watch;
-      const sim::EmpiricalMeasurement measurement(
-          resample_snapshots(block, rng));
-      result.resample_seconds += resample_watch.seconds();
-      try {
-        estimates[r] = infer_congestion(g, paths, coverage, sets,
-                                        measurement, options.inference)
-                           .congestion_prob;
-      } catch (const Error&) {
-        // Replicate lost every usable equation; counted as skipped below.
-      }
-    }
-  } else {
-    // Batched engine. The Gram-skeleton fast path is valid only when a
-    // replicate provably re-harvests the exact same system, which needs:
-    //  - every accepted equation still usable on the replicate (checked
-    //    per replicate below) — a resample can only *lose* good
-    //    snapshots, never invent them, so with min_good <= 1 no dropped
-    //    candidate can become usable;
-    //  - include_redundant, so every eligible single is an accepted
-    //    equation (in non-redundant mode an eligible-but-dependent single
-    //    feeds pair candidates without appearing in the system, and its
-    //    usability flip would go undetected). The rank tracker absorbs
-    //    only independent — hence accepted — rows, so a *dependent*
-    //    candidate losing usability shifts a diagnostic counter but never
-    //    the harvested equations;
-    //  - the demotion chain replays: structural refinement is
-    //    measurement-independent, and each demotion round's decision is a
-    //    function of that round's harvest, so checking the intermediate
-    //    rounds' witness_paths (plus the final system, checked by the y
-    //    loop) per replicate certifies the whole chain.
-    // Anything outside that envelope falls back to a full re-harvest,
-    // which is the reference computation verbatim.
-    const EquationBuildOptions& eq = options.inference.equations;
-    const bool support_reusable =
-        incremental && eq.include_redundant && eq.min_good_snapshots <= 1;
+  // The Gram-skeleton fast path is valid only when a replicate provably
+  // re-harvests the exact same system, which needs:
+  //  - every accepted equation still usable on the replicate (checked
+  //    per replicate below) — a resample can only *lose* good
+  //    snapshots, never invent them, so with min_good <= 1 no dropped
+  //    candidate can become usable;
+  //  - include_redundant, so every eligible single is an accepted
+  //    equation (in non-redundant mode an eligible-but-dependent single
+  //    feeds pair candidates without appearing in the system, and its
+  //    usability flip would go undetected). The rank tracker absorbs
+  //    only independent — hence accepted — rows, so a *dependent*
+  //    candidate losing usability shifts a diagnostic counter but never
+  //    the harvested equations;
+  //  - the demotion chain replays: structural refinement is
+  //    measurement-independent, and each demotion round's decision is a
+  //    function of that round's harvest, so checking the intermediate
+  //    rounds' witness_paths (plus the final system, checked by the y
+  //    loop) per replicate certifies the whole chain.
+  // Anything outside that envelope falls back to a full re-harvest,
+  // which is the reference computation verbatim.
+  const EquationBuildOptions& eq = options.inference.equations;
+  const bool support_reusable =
+      incremental && eq.include_redundant && eq.min_good_snapshots <= 1;
 
-    InferenceOptions replicate_inference = options.inference;
-    // Fast-path solves share the skeleton's Gram matrix, so the warm
-    // seed's Cholesky factor is measurement-independent: factor it once
-    // here and let every replicate copy it (fast_solver). The fallback
-    // path harvests its own system — different Gram — so it only gets the
-    // plain warm_start list (re-admitted against its own matrix), and the
-    // variance-weighted path rebuilds the Gram per replicate, which
-    // invalidates the factor the same way.
-    linalg::SolverOptions fast_solver = replicate_inference.solver;
-    linalg::NnlsWarmFactor warm_factor;
-    if (options.warm_start && incremental) {
-      replicate_inference.solver.warm_start = point.active_set;
-      fast_solver.warm_start = point.active_set;
-      if (weight_samples == 0) {
-        warm_factor = linalg::seed_warm_factor(skeleton, point.active_set);
-        fast_solver.nnls_warm_factor = &warm_factor;
-      }
+  InferenceOptions replicate_inference = options.inference;
+  // Fast-path solves share the skeleton's Gram matrix, so the warm
+  // seed's Cholesky factor is measurement-independent: factor it once
+  // here and let every replicate copy it (fast_solver). The fallback
+  // path harvests its own system — different Gram — so it only gets the
+  // plain warm_start list (re-admitted against its own matrix), and the
+  // variance-weighted path rebuilds the Gram per replicate, which
+  // invalidates the factor the same way.
+  linalg::SolverOptions fast_solver = replicate_inference.solver;
+  linalg::NnlsWarmFactor warm_factor;
+  if (options.warm_start && incremental) {
+    replicate_inference.solver.warm_start = point.active_set;
+    fast_solver.warm_start = point.active_set;
+    if (weight_samples == 0) {
+      warm_factor = linalg::seed_warm_factor(skeleton, point.active_set);
+      fast_solver.nnls_warm_factor = &warm_factor;
     }
+  }
 
-    const auto run_replicate = [&](std::size_t r, linalg::GramSystem& scratch,
-                                   std::vector<double>& ys,
-                                   sim::ResampleScratch& resample_scratch,
-                                   std::vector<std::uint32_t>& picks,
-                                   double& resample_seconds) {
-      Rng rng = replicate_rng(options.seed, r);
-      draw_picks_into(n, rng, picks);
-      Stopwatch resample_watch;
-      const sim::EmpiricalMeasurement measurement(
-          block.resample(picks, resample_scratch));
-      resample_seconds += resample_watch.seconds();
-      if (support_reusable) {
-        bool supports_hold = true;
-        // Intermediate demotion rounds first: if any of their equations
-        // lost usability the demotion decisions may diverge.
-        for (const std::vector<graph::PathId>& wp : harvest.witness_paths) {
-          const double prob = wp.size() == 1
-                                  ? measurement.good_prob(wp[0])
-                                  : measurement.pair_good_prob(wp[0], wp[1]);
-          if (!sim::log_estimate(prob, n, eq.min_good_snapshots).usable) {
-            supports_hold = false;
-            break;
-          }
-        }
-        for (std::size_t i = 0;
-             supports_hold && i < harvest.system.equations.size(); ++i) {
-          const Equation& e = harvest.system.equations[i];
-          const double prob =
-              e.paths.size() == 1
-                  ? measurement.good_prob(e.paths[0])
-                  : measurement.pair_good_prob(e.paths[0], e.paths[1]);
-          const sim::LogProbEstimate est =
-              sim::log_estimate(prob, n, eq.min_good_snapshots);
-          if (!est.usable) {
-            supports_hold = false;
-            break;
-          }
-          ys[i] = est.log_prob;
-        }
-        if (supports_hold) {
-          const linalg::SparseSystemView view =
-              sparse_view_with_rhs(harvest.system, ys, weight_samples);
-          linalg::LogSystemSolution solution;
-          if (weight_samples == 0) {
-            // Same supports, same G: refresh only the rhs products of the
-            // stripe's skeleton copy in place.
-            linalg::refresh_gram_rhs(scratch, view);
-            solution = linalg::solve_log_system(view, scratch, fast_solver);
-          } else {
-            // Variance weights scale every row by its replicate estimate,
-            // so the Gram matrix itself changes; rebuild it — the harvest
-            // skip still amortizes the expensive part.
-            linalg::GramSystem gs;
-            linalg::accumulate_gram(gs, view);
-            solution = linalg::solve_log_system(view, gs,
-                                                replicate_inference.solver);
-          }
-          InferenceResult replicate;
-          apply_solution(replicate, std::move(solution));
-          estimates[r] = std::move(replicate.congestion_prob);
-          return;
+  const auto run_replicate = [&](std::size_t r, linalg::GramSystem& scratch,
+                                 std::vector<double>& ys,
+                                 sim::ResampleScratch& resample_scratch,
+                                 std::vector<std::uint32_t>& picks,
+                                 double& resample_seconds) {
+    Rng rng = replicate_rng(options.seed, r);
+    draw_picks_into(n, rng, picks);
+    Stopwatch resample_watch;
+    const sim::EmpiricalMeasurement measurement(
+        block.resample(picks, resample_scratch));
+    resample_seconds += resample_watch.seconds();
+    if (support_reusable) {
+      bool supports_hold = true;
+      // Intermediate demotion rounds first: if any of their equations
+      // lost usability the demotion decisions may diverge.
+      for (const std::vector<graph::PathId>& wp : harvest.witness_paths) {
+        const double prob = wp.size() == 1
+                                ? measurement.good_prob(wp[0])
+                                : measurement.pair_good_prob(wp[0], wp[1]);
+        if (!sim::log_estimate(prob, n, eq.min_good_snapshots).usable) {
+          supports_hold = false;
+          break;
         }
       }
-      // Support changed (or the configuration cannot prove it stable):
-      // the reference computation verbatim.
-      fell_back[r] = 1;
-      try {
-        estimates[r] = infer_congestion(g, paths, coverage, sets,
-                                        measurement, replicate_inference)
-                           .congestion_prob;
-      } catch (const Error&) {
-        // Replicate lost every usable equation; counted as skipped below.
+      for (std::size_t i = 0;
+           supports_hold && i < harvest.system.equations.size(); ++i) {
+        const Equation& e = harvest.system.equations[i];
+        const double prob =
+            e.paths.size() == 1
+                ? measurement.good_prob(e.paths[0])
+                : measurement.pair_good_prob(e.paths[0], e.paths[1]);
+        const sim::LogProbEstimate est =
+            sim::log_estimate(prob, n, eq.min_good_snapshots);
+        if (!est.usable) {
+          supports_hold = false;
+          break;
+        }
+        ys[i] = est.log_prob;
       }
-    };
-
-    // One stripe of replicates per thread of the fan-out (a replicate's own
-    // calls run inline), each with one skeleton copy: refresh_gram_rhs
-    // rewrites only the rhs products in place, so G is shared by the whole
-    // stripe. The resample scratch and pick buffer are likewise hoisted —
-    // the source transpose is built once per stripe and every replicate in
-    // it reuses the same gather buffer.
-    const std::size_t stripes =
-        std::min(util::parallel_width(), options.replicates);
-    std::vector<double> stripe_resample_seconds(stripes);
-    util::parallel_for(stripes, [&](std::size_t w) {
-      linalg::GramSystem scratch = skeleton;
-      std::vector<double> ys(harvest.system.equations.size());
-      sim::ResampleScratch resample_scratch;
-      std::vector<std::uint32_t> picks;
-      for (std::size_t r = w; r < options.replicates; r += stripes) {
-        run_replicate(r, scratch, ys, resample_scratch, picks,
-                      stripe_resample_seconds[w]);
+      if (supports_hold) {
+        const linalg::SparseSystemView view =
+            sparse_view_with_rhs(harvest.system, ys, weight_samples);
+        linalg::LogSystemSolution solution;
+        if (weight_samples == 0) {
+          // Same supports, same G: refresh only the rhs products of the
+          // stripe's skeleton copy in place.
+          linalg::refresh_gram_rhs(scratch, view);
+          solution = linalg::solve_log_system(view, scratch, fast_solver);
+        } else {
+          // Variance weights scale every row by its replicate estimate,
+          // so the Gram matrix itself changes; rebuild it — the harvest
+          // skip still amortizes the expensive part.
+          linalg::GramSystem gs;
+          linalg::accumulate_gram(gs, view);
+          solution = linalg::solve_log_system(view, gs,
+                                              replicate_inference.solver);
+        }
+        InferenceResult replicate;
+        apply_solution(replicate, std::move(solution));
+        estimates[r] = std::move(replicate.congestion_prob);
+        return;
       }
-    });
-    for (const double s : stripe_resample_seconds) {
-      result.resample_seconds += s;
     }
+    // Support changed (or the configuration cannot prove it stable):
+    // the reference computation verbatim.
+    fell_back[r] = 1;
+    try {
+      estimates[r] = infer_congestion(g, paths, coverage, sets,
+                                      measurement, replicate_inference)
+                         .congestion_prob;
+    } catch (const Error&) {
+      // Replicate lost every usable equation; counted as skipped below.
+    }
+  };
+
+  // One stripe of replicates per thread of the fan-out (a replicate's own
+  // calls run inline), each with one skeleton copy: refresh_gram_rhs
+  // rewrites only the rhs products in place, so G is shared by the whole
+  // stripe. The resample scratch and pick buffer are likewise hoisted —
+  // the source transpose is built once per stripe and every replicate in
+  // it reuses the same gather buffer.
+  const std::size_t stripes =
+      std::min(util::parallel_width(), options.replicates);
+  std::vector<double> stripe_resample_seconds(stripes);
+  util::parallel_for(stripes, [&](std::size_t w) {
+    linalg::GramSystem scratch = skeleton;
+    std::vector<double> ys(harvest.system.equations.size());
+    sim::ResampleScratch resample_scratch;
+    std::vector<std::uint32_t> picks;
+    for (std::size_t r = w; r < options.replicates; r += stripes) {
+      run_replicate(r, scratch, ys, resample_scratch, picks,
+                    stripe_resample_seconds[w]);
+    }
+  });
+  for (const double s : stripe_resample_seconds) {
+    result.resample_seconds += s;
   }
 
   // Reduction in replicate order — worker-count independent by design.

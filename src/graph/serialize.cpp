@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace tomo::graph {
 
@@ -36,6 +37,21 @@ MeasuredSystem read_system(std::istream& is) {
   auto fail = [&](const std::string& what) -> void {
     throw Error("topology line " + std::to_string(line_no) + ": " + what);
   };
+  // The rest of a path or corrset line: ids of existing links.
+  auto link_list = [&](std::istream& ls, const std::string& what) {
+    std::vector<LinkId> links;
+    std::string token;
+    while (ls >> token) {
+      LinkId e = 0;
+      if (!util::parse_index(token, e)) {
+        fail("malformed " + what + " line: '" + token + "' is not a link id");
+      }
+      if (e >= system.graph.link_count()) fail(what + " uses unknown link");
+      links.push_back(e);
+    }
+    if (links.empty()) fail(what + " has no links");
+    return links;
+  };
 
   bool have_header = false;
   std::vector<std::vector<LinkId>> raw_paths;
@@ -57,12 +73,17 @@ MeasuredSystem read_system(std::istream& is) {
     if (tag == "node") {
       std::size_t id;
       std::string name;
-      if (!(ls >> id >> name)) fail("malformed node line");
+      if (!util::read_index(ls, id) || !(ls >> name)) {
+        fail("malformed node line");
+      }
       if (id != system.graph.node_count()) fail("node ids must be dense");
       system.graph.add_node(name);
     } else if (tag == "link") {
       std::size_t id, src, dst;
-      if (!(ls >> id >> src >> dst)) fail("malformed link line");
+      if (!util::read_index(ls, id) || !util::read_index(ls, src) ||
+          !util::read_index(ls, dst)) {
+        fail("malformed link line");
+      }
       if (id != system.graph.link_count()) fail("link ids must be dense");
       if (src >= system.graph.node_count() ||
           dst >= system.graph.node_count()) {
@@ -71,28 +92,14 @@ MeasuredSystem read_system(std::istream& is) {
       system.graph.add_link(src, dst);
     } else if (tag == "path") {
       std::size_t id;
-      if (!(ls >> id)) fail("malformed path line");
+      if (!util::read_index(ls, id)) fail("malformed path line");
       if (id != raw_paths.size()) fail("path ids must be dense");
-      std::vector<LinkId> links;
-      std::size_t e;
-      while (ls >> e) {
-        if (e >= system.graph.link_count()) fail("path uses unknown link");
-        links.push_back(e);
-      }
-      if (links.empty()) fail("path has no links");
-      raw_paths.push_back(std::move(links));
+      raw_paths.push_back(link_list(ls, "path"));
     } else if (tag == "corrset") {
       std::size_t id;
-      if (!(ls >> id)) fail("malformed corrset line");
+      if (!util::read_index(ls, id)) fail("malformed corrset line");
       if (id != system.partition.size()) fail("corrset ids must be dense");
-      std::vector<LinkId> links;
-      std::size_t e;
-      while (ls >> e) {
-        if (e >= system.graph.link_count()) fail("corrset uses unknown link");
-        links.push_back(e);
-      }
-      if (links.empty()) fail("corrset has no links");
-      system.partition.push_back(std::move(links));
+      system.partition.push_back(link_list(ls, "corrset"));
     } else {
       fail("unknown tag '" + tag + "'");
     }

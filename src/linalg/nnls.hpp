@@ -15,9 +15,10 @@
 // a degenerate zero-length step are blocked from immediate re-entry until
 // the iterate moves — the anti-cycling safeguard.
 //
-// The historical implementation (fresh rank-revealing QR on the passive
-// submatrix per iteration) survives as nnls_reference, a test oracle that
-// no option selects (tests/test_nnls_fast.cpp pins the engine against it).
+// The historical implementation (a fresh rank-revealing QR on the passive
+// submatrix per iteration) lives on only as a test oracle in the test-only
+// tomo_oracles library (tests/oracles/), which tests/test_nnls_fast.cpp
+// pins this engine against.
 #pragma once
 
 #include <cstddef>
@@ -84,16 +85,16 @@ struct NnlsResult {
   std::size_t iterations = 0;
   bool converged = false;  // false if the iteration cap was hit
   /// Full refactorizations of the passive-set factor: > 0 means the
-  /// condition-triggered fallback fired (always 0 from nnls_reference).
+  /// condition-triggered fallback fired.
   std::size_t refactorizations = 0;
   /// The converged passive set (columns with x > 0), sorted ascending.
   /// Feed it back through NnlsOptions::warm_start to seed the next related
-  /// solve. Empty from nnls_reference.
+  /// solve.
   std::vector<std::size_t> active_set;
   /// The factor of G[P, P] the solve ended with, P its final
   /// passive set in factor order (moved out, not copied). Pass it back
   /// through NnlsOptions::warm_factor to start a solve against the same G
-  /// from this support with no factor appends. Empty from nnls_reference.
+  /// from this support with no factor appends.
   NnlsWarmFactor factor;
 };
 
@@ -116,13 +117,5 @@ NnlsResult nnls(const Matrix& a, const Vector& b,
 /// Entry point for callers that already hold the Gram system (the sparse
 /// solver front end builds it without ever materializing A).
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options = {});
-
-/// The test oracle: the historical Lawson-Hanson loop, a fresh
-/// rank-revealing QR on the passive submatrix every inner iteration. Same
-/// problem, iteration-cap default (0 = 3 * cols + 10) and tolerance as
-/// nnls, different arithmetic; O(m k^2) per iteration, so only test-sized
-/// systems. No warm start; active_set and factor stay empty.
-NnlsResult nnls_reference(const Matrix& a, const Vector& b,
-                          std::size_t max_iterations = 0, double tol = 1e-10);
 
 }  // namespace tomo::linalg

@@ -7,67 +7,11 @@
 
 namespace tomo::sim {
 
-namespace {
-
-// Scalar reference mode: plain word loops over the congested-bit
-// complement of the rows with std::popcount — no cached popcounts, no
-// util::bitops tables — so it checks the block mode independently.
-
-/// Congested bits of word `w` of path `p` (tail bits beyond the block's
-/// snapshots clear).
-std::uint64_t congested_word(const MeasurementBlock& block, PathId p,
-                             std::size_t w) {
-  return ~block.good_row(p)[w] & block.word_mask(w);
-}
-
-/// Snapshots in which no path of `paths` was congested.
-std::size_t scalar_all_good_count(const MeasurementBlock& block,
-                                  std::span<const PathId> paths) {
-  std::size_t congested_any = 0;
-  for (std::size_t w = 0; w < block.words_per_path(); ++w) {
-    std::uint64_t any = 0;
-    for (const PathId p : paths) any |= congested_word(block, p, w);
-    congested_any += static_cast<std::size_t>(std::popcount(any));
-  }
-  return block.snapshot_count - congested_any;
-}
-
-/// Snapshots whose congested-path set is exactly the flagged paths:
-/// path-major AND of congested rows (pattern paths) and good rows (the
-/// rest).
-std::size_t scalar_exact_pattern_count(
-    const MeasurementBlock& block,
-    const std::vector<std::uint8_t>& in_pattern) {
-  const std::size_t words = block.words_per_path();
-  std::vector<std::uint64_t> match(words, ~std::uint64_t{0});
-  for (PathId p = 0; p < block.path_count; ++p) {
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t congested = congested_word(block, p, w);
-      match[w] &= in_pattern[p] ? congested : ~congested;
-    }
-  }
-  // Complemented rows set the tail bits beyond snapshot_count; clear them.
-  match[words - 1] &= block.word_mask(words - 1);
-  std::size_t count = 0;
-  for (const std::uint64_t word : match) {
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
-}
-
-}  // namespace
-
 EmpiricalMeasurement::EmpiricalMeasurement(MeasurementBlock block)
     : block_(std::move(block)) {
   TOMO_REQUIRE(!block_.empty(), "empirical measurement needs observations");
   TOMO_REQUIRE(block_.good_counts.size() == block_.path_count,
                "measurement block is missing its popcounts");
-}
-
-EmpiricalMeasurement::EmpiricalMeasurement(MeasurementBlock block,
-                                           bool use_bitset_cache)
-    : EmpiricalMeasurement(std::move(block)) {
-  scalar_ = !use_bitset_cache;
 }
 
 void EmpiricalMeasurement::append(const MeasurementBlock& window) {
@@ -84,9 +28,6 @@ std::size_t EmpiricalMeasurement::sample_count() const {
 
 std::size_t EmpiricalMeasurement::good_count(PathId p) const {
   TOMO_REQUIRE(p < path_count(), "path id out of range");
-  if (scalar_) {
-    return scalar_all_good_count(block_, std::span<const PathId>(&p, 1));
-  }
   return block_.good_counts[p];
 }
 
@@ -97,10 +38,6 @@ double EmpiricalMeasurement::all_good_prob(
   if (paths.size() == 2) return pair_good_prob(paths[0], paths[1]);
   for (const PathId p : paths) {
     TOMO_REQUIRE(p < block_.path_count, "path id out of range");
-  }
-  if (scalar_) {
-    return static_cast<double>(scalar_all_good_count(block_, paths)) /
-           static_cast<double>(block_.snapshot_count);
   }
   // Multi-way AND+popcount through the kernel table; the row pointers
   // live on the stack for the typical small path sets.
@@ -127,11 +64,6 @@ double EmpiricalMeasurement::good_prob(PathId p) const {
 
 double EmpiricalMeasurement::pair_good_prob(PathId a, PathId b) const {
   TOMO_REQUIRE(a < path_count() && b < path_count(), "path id out of range");
-  if (scalar_) {
-    const PathId pair[2] = {a, b};
-    return static_cast<double>(scalar_all_good_count(block_, pair)) /
-           static_cast<double>(block_.snapshot_count);
-  }
   const std::size_t both = util::bitops::active().and_popcount(
       block_.good_row(a), block_.good_row(b), block_.words_per_path());
   return static_cast<double>(both) /
@@ -144,11 +76,6 @@ double EmpiricalMeasurement::exact_pattern_prob(
   for (PathId p : pattern) {
     TOMO_REQUIRE(p < block_.path_count, "pattern path id out of range");
     in_pattern[p] = 1;
-  }
-  if (scalar_) {
-    return static_cast<double>(
-               scalar_exact_pattern_count(block_, in_pattern)) /
-           static_cast<double>(block_.snapshot_count);
   }
   // A snapshot matches iff every pattern path is congested (~good) and
   // every other path is good: AND-accumulate over all rows, word-major.

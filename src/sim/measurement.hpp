@@ -62,20 +62,14 @@ class MeasurementProvider {
 ///
 /// Adopts a MeasurementBlock as-is — no re-packing, no reference to keep
 /// alive — so the harvest's pair_good_prob(p, q) is a word-wise AND +
-/// popcount over the two rows through the util::bitops kernel table. The
-/// scalar-reference mode (`use_bitset_cache = false`) answers every query
-/// from the same block with its own scalar loop over the complemented
-/// (congested-bit) words and std::popcount, ignoring the cached popcounts
-/// and the kernel tables: an independent implementation of the same
-/// counts, kept for differential tests.
+/// popcount over the two rows through the util::bitops kernel table. An
+/// independent scalar implementation of the same counts (plain
+/// complemented-word loops, no cached popcounts, no kernel tables) is a
+/// test oracle in tests/oracles/, not a mode of this class.
 class EmpiricalMeasurement final : public MeasurementProvider {
  public:
   /// Adopts the block directly (zero-copy hand-off).
   explicit EmpiricalMeasurement(MeasurementBlock block);
-
-  /// `use_bitset_cache = false` selects the scalar reference
-  /// implementation; `true` is the adopting constructor above.
-  EmpiricalMeasurement(MeasurementBlock block, bool use_bitset_cache);
 
   using MeasurementProvider::all_good_prob;
 
@@ -91,8 +85,6 @@ class EmpiricalMeasurement final : public MeasurementProvider {
   /// ratio — used by callers that compare against sample_count()).
   std::size_t good_count(PathId p) const;
 
-  bool uses_bitset_cache() const { return !scalar_; }
-
   /// The underlying block.
   const MeasurementBlock& block() const { return block_; }
 
@@ -102,7 +94,6 @@ class EmpiricalMeasurement final : public MeasurementProvider {
 
  private:
   MeasurementBlock block_;
-  bool scalar_ = false;  // scalar reference mode: per-query word scans
 };
 
 }  // namespace tomo::sim

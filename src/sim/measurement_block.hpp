@@ -8,7 +8,7 @@
 // patterns) reduce to word-wise AND plus popcount. The batched simulator
 // writes it directly, EmpiricalMeasurement adopts it without re-packing,
 // and the obs-file reader, the daemon's window reader, the bootstrap
-// resample and the per-bit reference engines all produce or consume it.
+// resample and the per-bit test oracles all produce or consume it.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +75,8 @@ struct MeasurementBlock {
   /// Recomputes good_counts from good_bits (after direct bit writes).
   void recount();
 
-  /// Per-bit access for the scalar writers and readers (the legacy and
-  /// reference simulators, the reference resample, the obs readers):
+  /// Per-bit access for the scalar writers and readers (the legacy
+  /// simulator, the obs readers, tomo_cli localize, the test oracles):
   /// whether path `p` was good in snapshot `n`, and marking it congested
   /// (clears the good bit; good_counts go stale until recount()).
   bool good(PathId p, std::size_t n) const;

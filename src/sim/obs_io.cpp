@@ -1,25 +1,13 @@
 #include "sim/obs_io.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace tomo::sim {
-
-namespace {
-
-/// Parses a whole token as a decimal index; false on anything else
-/// (sign, fraction, trailing characters, overflow).
-bool parse_index(const std::string& token, std::size_t& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
 
 void write_congested_lines(std::ostream& os, const MeasurementBlock& block) {
   for (PathId p = 0; p < block.path_count; ++p) {
@@ -39,15 +27,13 @@ void write_congested_lines(std::ostream& os, const MeasurementBlock& block) {
 }
 
 void read_congested_line(std::istream& ls, MeasurementBlock& block) {
-  std::string token;
   std::size_t p = 0;
-  if (!(ls >> token) || !parse_index(token, p)) {
-    throw Error("malformed congested line");
-  }
+  if (!util::read_index(ls, p)) throw Error("malformed congested line");
   if (p >= block.path_count) throw Error("path id out of range");
+  std::string token;
   while (ls >> token) {
     std::size_t n = 0;
-    if (!parse_index(token, n)) {
+    if (!util::parse_index(token, n)) {
       throw Error("malformed congested line: '" + token +
                   "' is not a snapshot id");
     }
@@ -108,8 +94,8 @@ MeasurementBlock read_observation_block(std::istream& is) {
     if (tag == "paths") {
       std::size_t paths = 0, snapshots = 0;
       std::string snap_tag;
-      if (!(ls >> paths >> snap_tag >> snapshots) ||
-          snap_tag != "snapshots") {
+      if (!util::read_index(ls, paths) || !(ls >> snap_tag) ||
+          snap_tag != "snapshots" || !util::read_index(ls, snapshots)) {
         fail("malformed dimension line");
       }
       at_line([&] { expect_line_end(ls); });

@@ -29,7 +29,6 @@ inline double good_threshold(std::size_t packets, double tp) {
 /// verdict is certain (to ~8 sigma, P(flip) < 1e-15) when the mean sits
 /// more than 8 standard deviations past the threshold. Returns +1
 /// (certainly good), -1 (certainly congested), or 0 (borderline — draw).
-/// Both binomial block engines use this, so their RNG streams stay aligned.
 inline int classify_fate(double packets, double survival, double threshold) {
   const double mean = packets * survival;
   const double variance = mean * (1.0 - survival);
@@ -149,72 +148,6 @@ SimulationResult simulate_batched(const graph::Graph& g,
   return result;
 }
 
-/// Differential reference for the batched engine: identical block and RNG
-/// semantics, executed as deliberately plain scalar code — serial block
-/// loop, per-path link-vector walk, per-bit set_congested writes into an
-/// all-good block, one recount at the end. Shares only the RNG, the loss
-/// model, and classify_fate with simulate_batched, so a bit-exact match
-/// between the two cross-checks the CSR flattening, the direct good-word
-/// packing, and the parallel merge.
-SimulationResult simulate_batched_reference(
-    const graph::Graph& g, const std::vector<graph::Path>& paths,
-    const corr::CongestionModel& model, const SimulatorConfig& config) {
-  const std::size_t links = g.link_count();
-  const std::size_t blocks =
-      (config.snapshots + kBlockSnapshots - 1) / kBlockSnapshots;
-
-  LossModel loss_model(config.tl);
-  const std::vector<double> tp = path_thresholds(loss_model, paths);
-
-  SimulationResult result;
-  result.snapshots = config.snapshots;
-  result.link_congested_count.assign(links, 0);
-  MeasurementBlock& obs = result.measurement;
-  obs = MeasurementBlock::all_good(paths.size(), config.snapshots);
-
-  const double packets = static_cast<double>(config.packets_per_path);
-  std::vector<std::uint8_t> states;
-  std::vector<double> loss(links);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t first = b * kBlockSnapshots;
-    const std::size_t count =
-        std::min(kBlockSnapshots, config.snapshots - first);
-    Rng rng(mix_seed(config.seed, kBlockSeedTag + b));
-    states.assign(count * links, 0);
-    model.sample_block(rng, count, states.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint8_t* state = states.data() + i * links;
-      for (std::size_t k = 0; k < links; ++k) {
-        result.link_congested_count[k] += state[k];
-      }
-      for (std::size_t k = 0; k < links; ++k) {
-        loss[k] = loss_model.sample_loss_rate(rng, state[k] != 0);
-      }
-      for (std::size_t p = 0; p < paths.size(); ++p) {
-        double survival = 1.0;
-        for (graph::LinkId k : paths[p].links()) {
-          survival *= 1.0 - loss[k];
-        }
-        const double threshold = good_threshold(config.packets_per_path, tp[p]);
-        bool good;
-        const int fate = classify_fate(packets, survival, threshold);
-        if (fate != 0) {
-          good = fate > 0;
-        } else {
-          const double delivered = static_cast<double>(
-              rng.binomial(config.packets_per_path, survival));
-          good = delivered >= threshold;
-        }
-        if (!good) {
-          obs.set_congested(p, first + i);
-        }
-      }
-    }
-  }
-  obs.recount();
-  return result;
-}
-
 /// The pre-batching engines, preserved verbatim: one RNG stream advanced
 /// across all snapshots (golden baselines pin kBinomial to this stream).
 SimulationResult simulate_legacy(const graph::Graph& g,
@@ -256,29 +189,15 @@ SimulationResult simulate_legacy(const graph::Graph& g,
       loss[k] = loss_model.sample_loss_rate(rng, state[k] != 0);
     }
 
+    const double sent = static_cast<double>(config.packets_per_path);
     for (std::size_t p = 0; p < paths.size(); ++p) {
-      const std::size_t sent = config.packets_per_path;
-      std::size_t delivered = 0;
-      if (config.mode == PacketMode::kBinomial) {
-        double survival = 1.0;
-        for (graph::LinkId k : paths[p].links()) {
-          survival *= 1.0 - loss[k];
-        }
-        delivered = static_cast<std::size_t>(rng.binomial(sent, survival));
-      } else {  // kPerPacket
-        for (std::size_t packet = 0; packet < sent; ++packet) {
-          bool alive = true;
-          for (graph::LinkId k : paths[p].links()) {
-            if (rng.bernoulli(loss[k])) {
-              alive = false;
-              break;
-            }
-          }
-          delivered += alive ? 1 : 0;
-        }
+      double survival = 1.0;
+      for (graph::LinkId k : paths[p].links()) {
+        survival *= 1.0 - loss[k];
       }
-      const double measured_loss =
-          1.0 - static_cast<double>(delivered) / static_cast<double>(sent);
+      const double delivered = static_cast<double>(
+          rng.binomial(config.packets_per_path, survival));
+      const double measured_loss = 1.0 - delivered / sent;
       if (measured_loss > tp[p]) {
         observations.set_congested(p, n);
       }
@@ -290,30 +209,12 @@ SimulationResult simulate_legacy(const graph::Graph& g,
 
 }  // namespace
 
-std::string to_string(PacketMode mode) {
-  switch (mode) {
-    case PacketMode::kBatched:
-      return "batched";
-    case PacketMode::kBinomial:
-      return "binomial";
-    case PacketMode::kPerPacket:
-      return "per-packet";
-    case PacketMode::kExact:
-      return "exact";
-    case PacketMode::kBatchedReference:
-      return "batched-ref";
-  }
-  TOMO_REQUIRE(false, "unknown packet mode");
-}
-
 PacketMode parse_packet_mode(const std::string& name) {
   if (name == "batched") return PacketMode::kBatched;
   if (name == "binomial") return PacketMode::kBinomial;
-  if (name == "per-packet") return PacketMode::kPerPacket;
   if (name == "exact") return PacketMode::kExact;
-  if (name == "batched-ref") return PacketMode::kBatchedReference;
   TOMO_REQUIRE(false, "unknown packet mode '" + name +
-                          "' (batched|binomial|per-packet|exact|batched-ref)");
+                          "' (batched|binomial|exact)");
 }
 
 SimulationResult simulate(const graph::Graph& g,
@@ -328,17 +229,9 @@ SimulationResult simulate(const graph::Graph& g,
                    config.mode == PacketMode::kExact,
                "simulate: need at least one packet per path");
 
-  switch (config.mode) {
-    case PacketMode::kBatched:
-      return simulate_batched(g, paths, model, config);
-    case PacketMode::kBatchedReference:
-      return simulate_batched_reference(g, paths, model, config);
-    case PacketMode::kBinomial:
-    case PacketMode::kPerPacket:
-    case PacketMode::kExact:
-      return simulate_legacy(g, paths, model, config);
-  }
-  TOMO_REQUIRE(false, "unknown packet mode");
+  return config.mode == PacketMode::kBatched
+             ? simulate_batched(g, paths, model, config)
+             : simulate_legacy(g, paths, model, config);
 }
 
 }  // namespace tomo::sim

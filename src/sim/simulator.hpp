@@ -15,17 +15,13 @@
 //                binomial, with an 8-sigma deterministic-fate shortcut that
 //                skips the draw when the verdict is certain. Bursty models
 //                restart their chains per block (see
-//                CongestionModel::sample_block).
-//   kBatchedReference — the same block semantics executed by an
-//                independent scalar per-snapshot implementation (serial,
-//                per-bit block writes, no CSR flattening); the batched
-//                engine must match it bit for bit — the differential anchor.
+//                CongestionModel::sample_block). Its serial scalar
+//                reference and the packet-by-packet Bernoulli walk are
+//                test oracles (tests/oracles/), not modes.
 //   kBinomial  — legacy per-snapshot single-stream engine: per path,
 //                delivered ~ Binomial(n, Π(1-loss_k)); exactly equivalent
-//                to independent per-packet fates. Golden baselines pin it.
-//   kPerPacket — literal per-packet Bernoulli walk along the links; used in
-//                tests to validate the binomial engines, and for small
-//                studies.
+//                to drawing every packet's fate independently. Golden
+//                baselines pin it.
 //   kExact     — no packet noise: a path is congested iff one of its links
 //                is (separability applied directly); isolates estimation
 //                error from packet-sampling error.
@@ -47,15 +43,10 @@ namespace tomo::sim {
 enum class PacketMode {
   kBatched,
   kBinomial,
-  kPerPacket,
   kExact,
-  kBatchedReference,
 };
 
-/// "batched", "binomial", "per-packet", "exact", "batched-ref".
-std::string to_string(PacketMode mode);
-
-/// Inverse of to_string; throws tomo::Error on unknown names.
+/// Parses "batched" | "binomial" | "exact"; throws tomo::Error otherwise.
 PacketMode parse_packet_mode(const std::string& name);
 
 struct SimulatorConfig {

@@ -6,6 +6,7 @@
 
 #include "sim/obs_io.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace tomo::stream {
 
@@ -82,15 +83,17 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (batch_) {
       std::size_t snapshots = 0;
       std::string snap_tag;
-      if (!(ls >> paths_ >> snap_tag >> snapshots) ||
-          snap_tag != "snapshots") {
+      if (!util::read_index(ls, paths_) || !(ls >> snap_tag) ||
+          snap_tag != "snapshots" || !util::read_index(ls, snapshots)) {
         fail("malformed dimension line");
       }
       line_end();
       if (paths_ == 0 || snapshots == 0) fail("empty observation matrix");
       open_window(snapshots);
     } else {
-      if (!(ls >> paths_) || paths_ == 0) fail("malformed paths line");
+      if (!util::read_index(ls, paths_) || paths_ == 0) {
+        fail("malformed paths line");
+      }
       line_end();
     }
     return false;
@@ -100,7 +103,9 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (paths_ == 0) fail("window before the paths line");
     if (pending_.has_value()) fail("nested window");
     std::size_t count = 0;
-    if (!(ls >> count) || count == 0) fail("malformed window line");
+    if (!util::read_index(ls, count) || count == 0) {
+      fail("malformed window line");
+    }
     line_end();
     open_window(count);
     return false;

@@ -1,14 +1,14 @@
 // Differential suite for the batched bootstrap engine.
 //
-// The batched engine (BootstrapMode::kBatched) is pinned against the
-// serial reference (kReference) that shares only the per-replicate seed
-// streams: with warm starts off, intervals are bitwise identical at
-// matched seeds on every registry scenario, for any `jobs`, and on the
-// fallback path (the reference computation verbatim). The word-level
-// MeasurementBlock::resample gather is pinned the same way against the
-// scalar per-bit resample_snapshots, and percentile_pair against two
-// separate percentile calls. Any divergence is an exactness bug, not a
-// tolerance question, so the comparisons are exact.
+// The batched engine (core::bootstrap_congestion) is pinned against the
+// serial oracle oracles::bootstrap_reference, which shares only the
+// per-replicate seed streams: with warm starts off, intervals are bitwise
+// identical at matched seeds on every registry scenario, for any `jobs`,
+// and on the fallback path (the reference computation verbatim). The
+// word-level MeasurementBlock::resample gather is pinned the same way
+// against the per-bit oracles::resample_snapshots, and percentile_pair
+// against two separate percentile calls. Any divergence is an exactness
+// bug, not a tolerance question, so the comparisons are exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
 #include "sim/simulator.hpp"
@@ -73,11 +74,9 @@ TEST_P(RegistryBootstrapDifferential, BatchedMatchesReferenceBitwise) {
   // off, the fast path is the reference arithmetic bit for bit.
   options.warm_start = false;
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference =
-      bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
-                           w.inst.declared_sets, w.simr.measurement, options);
-  options.mode = BootstrapMode::kBatched;
+  const BootstrapResult reference = oracles::bootstrap_reference(
+      w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+      w.simr.measurement, options);
   const BootstrapResult batched =
       bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
                            w.inst.declared_sets, w.simr.measurement, options);
@@ -88,7 +87,7 @@ TEST_P(RegistryBootstrapDifferential, JobsDoNotChangeIntervals) {
   const Workload w = registry_workload(GetParam());
   const graph::CoverageIndex cov(w.inst.graph, w.inst.paths);
 
-  BootstrapOptions options;  // batched, warm starts on: the default engine
+  BootstrapOptions options;  // warm starts on: the default
   options.replicates = 12;
   options.seed = 0xfa2;
   options.jobs = 1;
@@ -136,11 +135,9 @@ TEST(BootstrapFast, UnprovableSupportFallsBackToReferencePath) {
   options.warm_start = false;
   options.inference.equations.min_good_snapshots = 2;
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference =
-      bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
-                           w.inst.declared_sets, w.simr.measurement, options);
-  options.mode = BootstrapMode::kBatched;
+  const BootstrapResult reference = oracles::bootstrap_reference(
+      w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+      w.simr.measurement, options);
   const BootstrapResult batched =
       bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
                            w.inst.declared_sets, w.simr.measurement, options);
@@ -166,7 +163,6 @@ TEST(BootstrapFast, SupportChangeTriggersPerReplicateFallback) {
   options.replicates = 24;
   options.seed = 0xfb;
   options.warm_start = false;
-  options.mode = BootstrapMode::kBatched;
   const BootstrapResult batched = bootstrap_congestion(
       sys.graph, sys.paths, cov, sys.sets, obs, options);
   // P(a 32-draw resample keeps snapshot 0) ~ 0.63: both branches must be
@@ -174,8 +170,7 @@ TEST(BootstrapFast, SupportChangeTriggersPerReplicateFallback) {
   EXPECT_GT(batched.reharvested, 0u);
   EXPECT_LT(batched.reharvested, options.replicates);
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference = bootstrap_congestion(
+  const BootstrapResult reference = oracles::bootstrap_reference(
       sys.graph, sys.paths, cov, sys.sets, obs, options);
   expect_identical(batched, reference, "single-good-snapshot path");
 }
@@ -199,14 +194,12 @@ TEST(BootstrapFast, SkippedReplicatesAreAccountedFor) {
   options.replicates = 30;
   options.seed = 0x5c1;
   options.warm_start = false;
-  options.mode = BootstrapMode::kBatched;
   const BootstrapResult batched = bootstrap_congestion(
       sys.graph, sys.paths, cov, sys.sets, obs, options);
   EXPECT_GT(batched.skipped, 0u);  // ~36% of resamples miss snapshot 0
   EXPECT_EQ(batched.replicates + batched.skipped, options.replicates);
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference = bootstrap_congestion(
+  const BootstrapResult reference = oracles::bootstrap_reference(
       sys.graph, sys.paths, cov, sys.sets, obs, options);
   EXPECT_EQ(reference.replicates + reference.skipped, options.replicates);
   expect_identical(batched, reference, "mostly-unusable sample");
@@ -232,9 +225,10 @@ TEST(BootstrapFast, BlockResampleMatchesScalarReference) {
     // Both paths consume the identical pick stream by contract.
     Rng scalar_rng(seed);
     const sim::MeasurementBlock expected =
-        resample_snapshots(block, scalar_rng);
+        oracles::resample_snapshots(block, scalar_rng);
     Rng block_rng(seed);
-    const std::vector<std::uint32_t> picks = draw_picks(n, block_rng);
+    std::vector<std::uint32_t> picks;
+    draw_picks_into(n, block_rng, picks);
     const sim::MeasurementBlock gathered = block.resample(picks);
     EXPECT_EQ(gathered.good_bits, expected.good_bits) << "seed " << seed;
     EXPECT_EQ(gathered.good_counts, expected.good_counts) << "seed " << seed;

@@ -1,7 +1,8 @@
 // Pins the inter-target link graph: instantiates one object from each of
-// the nine library layers, so a future layering break (a layer dropped
-// from the umbrella target, a missing inter-layer link dependency) fails
-// this suite before anything subtler does.
+// the nine library layers and from the test-only oracle library, so a
+// future layering break (a layer dropped from the umbrella target, a
+// missing inter-layer link dependency) fails this suite before anything
+// subtler does.
 #include <gtest/gtest.h>
 
 #include "core/scenario.hpp"
@@ -9,6 +10,7 @@
 #include "graph/graph.hpp"
 #include "linalg/matrix.hpp"
 #include "metrics/cdf.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement_block.hpp"
 #include "stream/window_ring.hpp"
 #include "topogen/waxman.hpp"
@@ -65,6 +67,14 @@ TEST(BuildSanity, CoreLayerLinks) {
 TEST(BuildSanity, StreamLayerLinks) {
   tomo::stream::WindowRing ring(2);
   EXPECT_EQ(ring.capacity(), 2u);
+}
+
+TEST(BuildSanity, OracleLibraryLinks) {
+  auto block = tomo::sim::MeasurementBlock::all_good(2, 8);
+  block.set_congested(1, 5);
+  block.recount();
+  const tomo::oracles::ScalarMeasurement scalar(std::move(block));
+  EXPECT_EQ(scalar.good_count(1), 7u);
 }
 
 }  // namespace

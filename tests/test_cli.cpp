@@ -115,6 +115,29 @@ TEST_F(CliWorkflow, InferWithBootstrapIntervals) {
   EXPECT_NE(r.output.find("ci90_lo"), std::string::npos);
 }
 
+// The reference engines are test oracles, not modes: the retired --mode
+// values and the --bootstrap-mode flag are rejected like any unknown input.
+TEST_F(CliWorkflow, SimulateRejectsRetiredOracleModes) {
+  const std::string out = temp_path("cli_retired_mode.txt");
+  for (const std::string mode : {"batched-ref", "per-packet"}) {
+    const CommandResult r =
+        run_cli("simulate --snapshots 10 --packets 10 --mode " + mode +
+                " --topology " + *topo_ + " --out " + out);
+    EXPECT_EQ(r.exit_code, 1) << mode << ": " << r.output;
+    EXPECT_NE(r.output.find("batched|binomial|exact"), std::string::npos)
+        << r.output;
+  }
+  std::remove(out.c_str());
+}
+
+TEST_F(CliWorkflow, InferRejectsBootstrapModeFlag) {
+  const CommandResult r =
+      run_cli("infer --bootstrap 10 --bootstrap-mode batched --topology " +
+              *topo_ + " --obs " + *obs_);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("unknown flag"), std::string::npos) << r.output;
+}
+
 TEST_F(CliWorkflow, MergeWritesTransformedTopology) {
   const std::string out = temp_path("cli_merged.txt");
   const CommandResult r = run_cli("merge --topology " + *topo_ +

@@ -2,13 +2,14 @@
 //
 // The harvest has three "fast" layers — the EmpiricalMeasurement bitset
 // cache, the correlation-set signature precheck, and the batched parallel
-// candidate evaluation — each with a scalar/sequential reference
-// implementation kept behind a flag. These tests pin the fast paths
-// against the references: identical accepted equations (links, paths,
-// bitwise-equal right-hand sides), identical drop counters, and an
-// identical dense matrix, across every registry scenario, random seeds,
-// option variations, and --jobs values. Any divergence is an exactness
-// bug, not a tolerance question, so comparisons are exact.
+// candidate evaluation — each with a scalar/sequential reference: the
+// test oracle oracles::ScalarMeasurement, the precheck option turned off,
+// and width 1. These tests pin the fast paths against the references:
+// identical accepted equations (links, paths, bitwise-equal right-hand
+// sides), identical drop counters, and an identical dense matrix, across
+// every registry scenario, random seeds, option variations, and --jobs
+// values. Any divergence is an exactness bug, not a tolerance question,
+// so comparisons are exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -80,13 +82,13 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
   EXPECT_EQ(da.y, db.y) << what;
 }
 
-/// Reference build: scalar measurement path, no signature precheck, inline
-/// evaluation — the historical sequential implementation's behaviour.
+/// Reference build: scalar measurement oracle, no signature precheck,
+/// inline evaluation — the historical sequential implementation's
+/// behaviour.
 EquationSystem reference_build(const PreparedScenario& p,
                                const corr::CorrelationSets& sets,
                                EquationBuildOptions options) {
-  const sim::EmpiricalMeasurement scalar(p.sim_result.measurement,
-                                         /*use_bitset_cache=*/false);
+  const oracles::ScalarMeasurement scalar(p.sim_result.measurement);
   options.use_signature_precheck = false;
   const util::ScopedWidth width(1);
   return build_equations(p.coverage, sets, scalar, options);
@@ -105,7 +107,6 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
                                              defaults);
 
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  ASSERT_TRUE(fast.uses_bitset_cache());
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     EquationBuildOptions options;
     const util::ScopedWidth width(jobs);
@@ -138,8 +139,7 @@ TEST(EquationsFast, BitsetCacheMatchesScalarCountsEverywhere) {
   config.seed = 21;
   const PreparedScenario p = prepare(config, 7);
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  const sim::EmpiricalMeasurement scalar(p.sim_result.measurement, false);
-  ASSERT_FALSE(scalar.uses_bitset_cache());
+  const oracles::ScalarMeasurement scalar(p.sim_result.measurement);
   const sim::MeasurementBlock& block = p.sim_result.measurement;
   const std::size_t n = block.path_count;
   for (graph::PathId a = 0; a < n; ++a) {
@@ -155,8 +155,8 @@ TEST(EquationsFast, BitsetCacheMatchesScalarCountsEverywhere) {
   ASSERT_EQ(fast.all_good_prob({1, 4}), scalar.all_good_prob({1, 4}));
   ASSERT_EQ(fast.all_good_prob({0, 2, 5}), scalar.all_good_prob({0, 2, 5}));
 
-  // Exact-pattern counts: the block mode's word-major loop against the
-  // scalar mode's path-major loop over complemented words.
+  // Exact-pattern counts: the engine's word-major loop against the
+  // oracle's path-major loop over complemented words.
   ASSERT_EQ(fast.exact_pattern_prob({}), scalar.exact_pattern_prob({}));
   for (graph::PathId a = 0; a < n; ++a) {
     ASSERT_EQ(fast.exact_pattern_prob({a}), scalar.exact_pattern_prob({a}))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/coverage.hpp"
 #include "graph/graph.hpp"
@@ -221,6 +222,35 @@ TEST(Serialize, RejectsDanglingReferences) {
 TEST(Serialize, RejectsSparseIds) {
   std::stringstream buffer("tomo-topology v1\nnode 3 a\n");
   EXPECT_THROW(read_system(buffer), Error);
+}
+
+// Ids and link lists reject signed tokens with the line number: `-0` used
+// to read as 0 and `-18446744073709551615` wrapped to 1, so both loaded as
+// valid references.
+TEST(Serialize, RejectsSignedIds) {
+  const std::string base =
+      "tomo-topology v1\nnode 0 a\nnode 1 b\nlink 0 0 1\n";
+  const struct {
+    std::string text;
+    const char* line;
+  } cases[] = {
+      {"tomo-topology v1\nnode -0 a\n", "line 2"},
+      {"tomo-topology v1\nnode 0 a\nnode 1 b\n"
+       "link 0 0 -18446744073709551615\n",
+       "line 4"},
+      {base + "path -0 0\n", "line 5"},
+      {base + "path 0 -0\n", "line 5"},
+      {base + "path 0 0\ncorrset 0 +0\n", "line 6"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream buffer(c.text);
+    try {
+      read_system(buffer);
+      FAIL() << "expected tomo::Error for " << c.text;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find(c.line), std::string::npos) << e.message();
+    }
+  }
 }
 
 TEST(Serialize, IgnoresCommentsAndBlankLines) {

@@ -15,6 +15,7 @@
 #include "linalg/simplex.hpp"
 #include "linalg/solvers.hpp"
 #include "linalg/updatable_cholesky.hpp"
+#include "oracles/oracles.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -391,7 +392,7 @@ TEST(Nnls, ModesAgreeOnDuplicateColumns) {
   // produce the same fit.
   Matrix a{{1, 1, 0}, {1, 1, 0}, {0, 0, 1}};
   const Vector b{3, 3, 4};
-  const NnlsResult ref = nnls_reference(a, b);
+  const NnlsResult ref = oracles::nnls_reference(a, b);
   const NnlsResult inc = nnls(a, b);
   ASSERT_TRUE(ref.converged);
   ASSERT_TRUE(inc.converged);
@@ -421,14 +422,15 @@ TEST(Nnls, NearCollinearColumnHitsRefactorizeFallback) {
     EXPECT_GE(v, 0.0);
   }
   // The blocked sliver column costs at most its own mass in fit quality.
-  const NnlsResult ref = nnls_reference(a, b);
+  const NnlsResult ref = oracles::nnls_reference(a, b);
   EXPECT_NEAR(inc.residual_norm, ref.residual_norm, 1e-3);
 }
 
 TEST(Nnls, ZeroRhsConvergesToZeroInBothModes) {
   Matrix a{{1, 0}, {0, 1}, {1, 1}};
   const Vector b{0, 0, 0};
-  for (const NnlsResult& r : {nnls(a, b), nnls_reference(a, b)}) {
+  for (const NnlsResult& r :
+       {nnls(a, b), oracles::nnls_reference(a, b)}) {
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.x, Vector({0.0, 0.0}));
     EXPECT_DOUBLE_EQ(r.residual_norm, 0.0);
@@ -446,7 +448,8 @@ TEST(Nnls, IterationCapReportsNotConverged) {
   NnlsOptions capped;
   capped.max_iterations = 1;
   for (const NnlsResult& r :
-       {nnls(a, b, capped), nnls_reference(a, b, /*max_iterations=*/1)}) {
+       {nnls(a, b, capped),
+        oracles::nnls_reference(a, b, /*max_iterations=*/1)}) {
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.iterations, 1u);
     for (double v : r.x) {
@@ -480,7 +483,7 @@ TEST(Nnls, IncrementalSatisfiesKktOnRandomProblems) {
         EXPECT_LE(grad[j], 1e-6);
       }
     }
-    const NnlsResult ref = nnls_reference(a, b);
+    const NnlsResult ref = oracles::nnls_reference(a, b);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_NEAR(r.x[j], ref.x[j], 1e-8) << "trial " << trial;
     }

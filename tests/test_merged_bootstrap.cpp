@@ -7,6 +7,7 @@
 #include "corr/common_shock.hpp"
 #include "corr/model_factory.hpp"
 #include "graph/coverage.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
@@ -93,7 +94,7 @@ TEST(Bootstrap, ResampleKeepsDimensions) {
   block.set_congested(0, 5);
   block.recount();
   Rng rng(1);
-  const sim::MeasurementBlock r = resample_snapshots(block, rng);
+  const sim::MeasurementBlock r = oracles::resample_snapshots(block, rng);
   EXPECT_EQ(r.path_count, 2u);
   EXPECT_EQ(r.snapshot_count, 100u);
 }
@@ -102,11 +103,11 @@ TEST(Bootstrap, ResamplePreservesAllGoodAndAllBad) {
   const sim::MeasurementBlock good = sim::MeasurementBlock::all_good(1, 50);
   Rng rng(2);
   // All good: any resample is all good.
-  EXPECT_EQ(resample_snapshots(good, rng).good_counts[0], 50u);
+  EXPECT_EQ(oracles::resample_snapshots(good, rng).good_counts[0], 50u);
   sim::MeasurementBlock bad = sim::MeasurementBlock::all_good(1, 50);
   for (std::size_t n = 0; n < 50; ++n) bad.set_congested(0, n);
   bad.recount();
-  EXPECT_EQ(resample_snapshots(bad, rng).good_counts[0], 0u);
+  EXPECT_EQ(oracles::resample_snapshots(bad, rng).good_counts[0], 0u);
 }
 
 TEST(Bootstrap, ResampleFrequencyIsUnbiased) {
@@ -118,7 +119,7 @@ TEST(Bootstrap, ResampleFrequencyIsUnbiased) {
   const int reps = 200;
   for (int r = 0; r < reps; ++r) {
     total += static_cast<double>(
-        1000 - resample_snapshots(block, rng).good_counts[0]);
+        1000 - oracles::resample_snapshots(block, rng).good_counts[0]);
   }
   EXPECT_NEAR(total / reps, 300.0, 10.0);
 }

@@ -2,7 +2,7 @@
 //
 // The solver was rebuilt around a once-per-solve Gram system and an
 // updatable Cholesky factor (linalg::nnls); the historical per-iteration
-// dense QR survives as the test oracle linalg::nnls_reference.
+// dense QR survives as the test oracle oracles::nnls_reference.
 // These tests pin the two engines against each other on every registry
 // scenario's real equation system: the converged active sets must be
 // identical and the solutions must agree to tight relative tolerance —
@@ -23,6 +23,7 @@
 #include "graph/coverage.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/solvers.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
@@ -68,7 +69,7 @@ std::vector<std::size_t> active_set(const linalg::Vector& x) {
 linalg::LogSystemSolution reference_solve(const linalg::DenseSystem& dense) {
   linalg::Vector b(dense.y.size());
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = -dense.y[i];
-  const linalg::NnlsResult r = linalg::nnls_reference(dense.a, b);
+  const linalg::NnlsResult r = oracles::nnls_reference(dense.a, b);
   linalg::LogSystemSolution out;
   out.x.resize(r.x.size());
   for (std::size_t j = 0; j < r.x.size(); ++j) {

@@ -121,6 +121,27 @@ TEST(ObsIo, RejectsMalformedInput) {
   }
 }
 
+// `istream >> size_t` accepts a sign and wraps the value, so
+// "-18446744073709551606" used to load as 10 snapshots. Signed counts are
+// rejected with the line number, never wrapped.
+TEST(ObsIo, RejectsSignedCounts) {
+  for (const char* dims :
+       {"paths 12 snapshots -18446744073709551606", "paths -3 snapshots 1",
+        "paths +2 snapshots 5", "paths 2 snapshots -0"}) {
+    std::stringstream s(std::string("tomo-observations v1\n") + dims +
+                        "\ncongested 0 1\n");
+    try {
+      read_observation_block(s);
+      FAIL() << "expected tomo::Error for " << dims;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find("line 2"), std::string::npos)
+          << e.message();
+      EXPECT_EQ(e.message().find("18446744073709551613"), std::string::npos)
+          << e.message();
+    }
+  }
+}
+
 // A dimension line whose bit matrix exceeds what a std::vector holds (also
 // when `snapshots + 63` itself wraps) is rejected with its line number,
 // not wrapped into a short allocation that set_congested writes past.

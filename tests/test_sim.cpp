@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "corr/model_factory.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/estimator.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/measurement.hpp"
@@ -42,8 +43,15 @@ TEST(LossModel, RejectsBadThreshold) {
 }
 
 // ------------------------------------------------- measurement block ----
-// Per-bit writes on a block, with the counts read back through both
-// EmpiricalMeasurement modes (block kernels and the scalar reference).
+// Per-bit writes on a block, with the counts read back through both the
+// engine (EmpiricalMeasurement's block kernels) and the scalar oracle.
+
+/// Runs `check` on both measurement implementations over `block`.
+template <typename Check>
+void check_both(const MeasurementBlock& block, Check check) {
+  check(EmpiricalMeasurement(block));
+  check(oracles::ScalarMeasurement(block));
+}
 
 TEST(MeasurementBlock, BitAccounting) {
   MeasurementBlock block = MeasurementBlock::all_good(2, 100);
@@ -55,13 +63,12 @@ TEST(MeasurementBlock, BitAccounting) {
   EXPECT_EQ(block.good_counts[0], 98u);
   EXPECT_FALSE(block.good(0, 3));
   EXPECT_TRUE(block.good(0, 4));
-  for (const bool cache : {true, false}) {
-    const EmpiricalMeasurement m(block, cache);
+  check_both(block, [](const auto& m) {
     EXPECT_EQ(m.good_count(0), 98u);
     // Congested snapshots of either path: {3, 64} -> 98 jointly good.
     EXPECT_DOUBLE_EQ(m.pair_good_prob(0, 1), 98.0 / 100.0);
     EXPECT_DOUBLE_EQ(m.all_good_prob({0, 1}), 98.0 / 100.0);
-  }
+  });
 }
 
 TEST(MeasurementBlock, ExactPatternCount) {
@@ -73,24 +80,22 @@ TEST(MeasurementBlock, ExactPatternCount) {
   block.set_congested(0, 2);
   block.set_congested(1, 2);
   block.recount();
-  for (const bool cache : {true, false}) {
-    const EmpiricalMeasurement m(block, cache);
+  check_both(block, [](const auto& m) {
     EXPECT_DOUBLE_EQ(m.exact_pattern_prob({0, 1}), 2.0 / 10.0);
     EXPECT_DOUBLE_EQ(m.exact_pattern_prob({0}), 1.0 / 10.0);
     EXPECT_DOUBLE_EQ(m.exact_pattern_prob({}), 7.0 / 10.0);
     EXPECT_DOUBLE_EQ(m.exact_pattern_prob({2}), 0.0);
-  }
+  });
 }
 
 TEST(MeasurementBlock, TailBitsDoNotLeak) {
   // snapshot_count not a multiple of 64: the all-good pattern must count
   // only real snapshots.
   const MeasurementBlock block = MeasurementBlock::all_good(1, 70);
-  for (const bool cache : {true, false}) {
-    const EmpiricalMeasurement m(block, cache);
+  check_both(block, [](const auto& m) {
     EXPECT_DOUBLE_EQ(m.exact_pattern_prob({}), 1.0);
     EXPECT_EQ(m.good_count(0), 70u);
-  }
+  });
 }
 
 // ---------------------------------------------------------- simulator ----
@@ -135,10 +140,10 @@ TEST(Simulator, PerPacketAgreesWithBinomialStatistically) {
   binom.mode = PacketMode::kBinomial;
   binom.seed = 17;
   SimulatorConfig perpkt = binom;
-  perpkt.mode = PacketMode::kPerPacket;
   perpkt.seed = 18;
   const auto rb = simulate(sys.graph, sys.paths, *model, binom);
-  const auto rp = simulate(sys.graph, sys.paths, *model, perpkt);
+  const auto rp =
+      oracles::simulate_per_packet(sys.graph, sys.paths, *model, perpkt);
   // Same congestion process statistics: good fractions agree within noise.
   for (graph::PathId p = 0; p < 3; ++p) {
     const double fb = static_cast<double>(rb.measurement.good_counts.at(p)) /

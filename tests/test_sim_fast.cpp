@@ -1,16 +1,18 @@
 // Differential suite for the batched snapshot simulator.
 //
-// The block-batched engine (PacketMode::kBatched) is pinned against an
-// independent serial reference (kBatchedReference) that shares only the
-// RNG, the loss model, and the fate classifier: identical good-bit
-// blocks, identical per-path good counts, and identical per-link
-// congestion tallies, across every registry scenario and for any --jobs.
-// Any divergence is an exactness bug, not a tolerance question, so the
-// comparisons are exact. The legacy per-packet engine is held to
-// *statistical* agreement only — it draws per-packet Bernoullis, so its
-// snapshot fates match the batched engine in distribution, not bitwise.
+// The block-batched engine (PacketMode::kBatched) is pinned against the
+// independent serial oracle oracles::simulate_batched_reference, which
+// shares only the RNG and the loss model (it restates the block seed tag
+// and the fate rule): identical good-bit blocks, identical per-path good
+// counts, and identical per-link congestion tallies, across every registry
+// scenario and for any --jobs. Any divergence is an exactness bug, not a
+// tolerance question, so the comparisons are exact. The packet-by-packet
+// oracle oracles::simulate_per_packet is held to *statistical* agreement
+// only — it draws one Bernoulli per packet and link, so its snapshot fates
+// match the batched engine in distribution, not bitwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -19,10 +21,14 @@
 
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
+#include "corr/model_factory.hpp"
+#include "graph/serialize.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
 #include "sim/obs_io.hpp"
 #include "sim/simulator.hpp"
+#include "topogen/planetlab_like.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tomo::sim {
@@ -40,15 +46,19 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b,
   EXPECT_EQ(a.link_congested_count, b.link_congested_count) << what;
 }
 
-SimulationResult run(const core::ScenarioInstance& inst, PacketMode mode,
-                     std::size_t jobs, std::size_t snapshots) {
+SimulatorConfig config_for(std::size_t snapshots) {
   SimulatorConfig config;
   config.snapshots = snapshots;
   config.packets_per_path = 500;
-  config.mode = mode;
-  const util::ScopedWidth width(jobs);
   config.seed = 0xba7c4ed;
-  return simulate(inst.graph, inst.paths, *inst.truth, config);
+  return config;
+}
+
+SimulationResult run(const core::ScenarioInstance& inst, std::size_t jobs,
+                     std::size_t snapshots) {
+  const util::ScopedWidth width(jobs);
+  return simulate(inst.graph, inst.paths, *inst.truth,
+                  config_for(snapshots));
 }
 
 class RegistrySimDifferential
@@ -62,13 +72,12 @@ TEST_P(RegistrySimDifferential, BatchedMatchesReferenceBitExactly) {
 
   // 150 snapshots: two full 64-snapshot blocks plus a ragged tail word,
   // so the final-word masking is exercised on every scenario.
-  const SimulationResult reference =
-      run(inst, PacketMode::kBatchedReference, 1, 150);
-  const SimulationResult batched = run(inst, PacketMode::kBatched, 1, 150);
+  const SimulationResult reference = oracles::simulate_batched_reference(
+      inst.graph, inst.paths, *inst.truth, config_for(150));
+  const SimulationResult batched = run(inst, 1, 150);
   expect_identical(batched, reference, GetParam() + " jobs=1");
 
-  const SimulationResult threaded =
-      run(inst, PacketMode::kBatched, 3, 150);
+  const SimulationResult threaded = run(inst, 3, 150);
   expect_identical(threaded, reference, GetParam() + " jobs=3");
 }
 
@@ -77,7 +86,7 @@ TEST_P(RegistrySimDifferential, ObservationsRoundTripThroughBlock) {
       core::ScenarioCatalog::instance().at(GetParam()).config);
   config.seed = 0x0b5e;
   const core::ScenarioInstance inst = core::build_scenario(config);
-  const SimulationResult result = run(inst, PacketMode::kBatched, 1, 97);
+  const SimulationResult result = run(inst, 1, 97);
 
   // block -> observation file (congested lines) -> block is the
   // identity, including the zeroed tail bits past the snapshot count.
@@ -87,10 +96,10 @@ TEST_P(RegistrySimDifferential, ObservationsRoundTripThroughBlock) {
   EXPECT_EQ(back.good_bits, result.measurement.good_bits) << GetParam();
   EXPECT_EQ(back.good_counts, result.measurement.good_counts) << GetParam();
 
-  // Adopting the simulator's block and the scalar reference over the
+  // Adopting the simulator's block and the scalar oracle over the
   // re-read one must answer set queries identically.
   const EmpiricalMeasurement adopted(result.measurement);
-  const EmpiricalMeasurement scalar(back, /*use_bitset_cache=*/false);
+  const oracles::ScalarMeasurement scalar(back);
   for (graph::PathId p = 0; p < back.path_count; ++p) {
     ASSERT_EQ(adopted.good_prob(p), scalar.good_prob(p))
         << GetParam() << " path " << p;
@@ -123,10 +132,9 @@ TEST(SimFast, PerPacketAgreesWithBatchedAtBlockGranularity) {
   // in distribution, so per-path good frequencies over many blocks must
   // match within a few binomial standard errors.
   const std::size_t snapshots = 64 * 40;  // 40 full blocks
-  const SimulationResult batched =
-      run(inst, PacketMode::kBatched, 1, snapshots);
-  const SimulationResult per_packet =
-      run(inst, PacketMode::kPerPacket, 1, snapshots);
+  const SimulationResult batched = run(inst, 1, snapshots);
+  const SimulationResult per_packet = oracles::simulate_per_packet(
+      inst.graph, inst.paths, *inst.truth, config_for(snapshots));
 
   const double n = static_cast<double>(snapshots);
   for (graph::PathId p = 0; p < inst.paths.size(); ++p) {
@@ -147,12 +155,73 @@ TEST(SimFast, BatchedIsInvariantAcrossJobCounts) {
       core::ScenarioCatalog::instance().at("waxman-bursty").config);
   config.seed = 0x0b5;
   const core::ScenarioInstance inst = core::build_scenario(config);
-  const SimulationResult one = run(inst, PacketMode::kBatched, 1, 333);
+  const SimulationResult one = run(inst, 1, 333);
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{5},
                                  std::size_t{0}}) {
-    const SimulationResult many =
-        run(inst, PacketMode::kBatched, jobs, 333);
+    const SimulationResult many = run(inst, jobs, 333);
     expect_identical(many, one, "jobs=" + std::to_string(jobs));
+  }
+}
+
+// The inputs of the CLI workflow: the topology `tomo_cli gen --kind
+// planetlab --size 80 --endpoints 8 --seed 3` writes, and the clustered
+// ground truth and simulator seed `tomo_cli simulate --snapshots 500
+// --packets 400 --seed 11` derives from it. The observation file the
+// batched engine writes at widths 1 and 8 must be byte-identical to the
+// oracle's.
+TEST(SimOracle, CliPlanetlabInputsMatchBatchedReference) {
+  topogen::PlanetLabParams params;
+  params.routers = 80;
+  params.vantage_points = 8;
+  params.cluster_size = 6;
+  params.fabric_prob = 0.65;
+  params.seed = 3;
+  topogen::GeneratedTopology topo = topogen::generate_planetlab_like(params);
+  graph::MeasuredSystem generated;
+  generated.graph = std::move(topo.graph);
+  generated.paths = std::move(topo.paths);
+  generated.partition = std::move(topo.partition);
+  // Through the topology file, as the CLI reads it back.
+  std::stringstream topology_file;
+  graph::write_system(topology_file, generated);
+  const graph::MeasuredSystem system = graph::read_system(topology_file);
+  ASSERT_FALSE(system.partition.empty());
+  const corr::CorrelationSets sets(system.graph.link_count(),
+                                   system.partition);
+
+  Rng rng(11);
+  const std::size_t target = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             0.1 * static_cast<double>(system.graph.link_count())));
+  std::vector<graph::LinkId> congested;
+  for (std::size_t idx : rng.sample_without_replacement(
+           system.graph.link_count(), target)) {
+    congested.push_back(idx);
+  }
+  std::sort(congested.begin(), congested.end());
+  std::vector<double> marginals(congested.size());
+  for (double& m : marginals) m = rng.uniform(0.1, 0.6);
+  const auto truth =
+      corr::make_clustered_shock_model(sets, congested, marginals, 0.95);
+
+  SimulatorConfig config;
+  config.snapshots = 500;
+  config.packets_per_path = 400;
+  config.seed = rng();
+
+  const auto observation_bytes = [](const SimulationResult& r) {
+    std::stringstream out;
+    write_observations(out, r.measurement);
+    return out.str();
+  };
+  const std::string reference = observation_bytes(
+      oracles::simulate_batched_reference(system.graph, system.paths,
+                                          *truth, config));
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    const util::ScopedWidth width(jobs);
+    const std::string batched = observation_bytes(
+        simulate(system.graph, system.paths, *truth, config));
+    EXPECT_EQ(batched, reference) << "jobs=" << jobs;
   }
 }
 

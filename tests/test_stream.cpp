@@ -312,6 +312,35 @@ TEST(ObsStream, MalformedInputFailsWithLineNumbers) {
   }
 }
 
+// Signed counts are rejected with their line number instead of wrapping:
+// "window -18446744073709551606" used to be served as a 10-snapshot window.
+TEST(ObsStream, RejectsSignedCounts) {
+  const struct {
+    const char* wire;
+    const char* line;
+  } cases[] = {
+      {"tomo-obs-stream v1\npaths 2\nwindow -18446744073709551606\n"
+       "congested 0 1\nend\n",
+       "line 3"},
+      {"tomo-obs-stream v1\npaths -3\n", "line 2"},
+      {"tomo-obs-stream v1\npaths 2\nwindow +4\n", "line 3"},
+      {"tomo-observations v1\npaths 12 snapshots -18446744073709551606\n"
+       "congested 0 1\n",
+       "line 2"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream wire(c.wire);
+    ObsStreamReader reader(wire);
+    try {
+      while (reader.next().has_value()) {
+      }
+      FAIL() << "expected tomo::Error for " << c.wire;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find(c.line), std::string::npos) << e.message();
+    }
+  }
+}
+
 // Dimension and window lines whose bit matrix exceeds what a std::vector
 // holds are rejected with their line number, not wrapped into a short
 // allocation.

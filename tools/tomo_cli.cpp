@@ -158,7 +158,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   flags.add_double("strength", 0.95, "correlation strength in [0,1)");
   flags.add_int("seed", 1, "RNG seed");
   flags.add_string("mode", "batched",
-                   "simulation engine: batched|binomial|per-packet|exact");
+                   "simulation engine: batched|binomial|exact");
   flags.add_int("jobs", 1,
                 "simulation worker threads (0 = all cores); output is "
                 "identical for any value");
@@ -221,9 +221,6 @@ int cmd_infer(int argc, const char* const* argv) {
                  "run the independence baseline instead");
   flags.add_int("bootstrap", 0,
                 "replicates for 90% confidence intervals (0 = off)");
-  flags.add_string("bootstrap-mode", "batched",
-                   "bootstrap engine: batched (Gram-skeleton reuse) | "
-                   "reference (serial full re-inference)");
   flags.add_int("jobs", 1,
                 "worker threads for the harvest, Gram and bootstrap (0 = "
                 "all cores); output is identical for any value");
@@ -258,8 +255,6 @@ int cmd_infer(int argc, const char* const* argv) {
   if (replicates > 0 && !flags.get_bool("independent")) {
     core::BootstrapOptions boot;
     boot.replicates = replicates;
-    boot.mode =
-        core::bootstrap_mode_from_string(flags.get_string("bootstrap-mode"));
     boot.jobs = jobs;
     boot.inference = options;
     const core::BootstrapResult intervals = core::bootstrap_congestion(

@@ -146,7 +146,7 @@ int cmd_record(int argc, const char* const* argv) {
   flags.add_int("snapshots", 768, "snapshots to simulate");
   flags.add_int("packets", 1000, "probe packets per path per snapshot");
   flags.add_string("mode", "batched",
-                   "simulation engine: batched|binomial|per-packet|exact");
+                   "simulation engine: batched|binomial|exact");
   flags.add_int("sim-seed", 0,
                 "simulator seed (0 = derive from --seed like a batch "
                 "trial would)");
